@@ -5,7 +5,7 @@ Two ways to build a (7,2) compressor
 Both blocks take seven same-weight bits plus two horizontal carry-ins
 and emit Sum, Carry and two horizontal carry-outs satisfying
 
-    Sum + 2*(Carry + Co1 + Co2) == x1+..+x7 + Ci1 + Ci2.
+    Sum + 2*Carry + 2*Co1 + 4*Co2 == x1+..+x7 + Ci1 + Ci2.
 
 The cascade chains five full adders.  The sorting-network build sorts
 bit groups first so the downstream adders see ordered inputs and the

@@ -17,15 +17,9 @@ import json
 import sys
 
 from . import __version__
-from .core import NetlistError
+from .core import SCHEMA_VERSION, NetlistError
 from .export import FORMATS, render, write_text
-from .generators import (
-    MIDDLE_PICKS,
-    REGISTRY,
-    BlockSpec,
-    ParameterError,
-    build_block,
-)
+from .generators import REGISTRY, BlockSpec, ParameterError, ParamSpec, build_block
 from .timing import StageModel, arrivals, compare
 from .verify import (
     EXHAUSTIVE_INPUT_BOUND,
@@ -34,10 +28,7 @@ from .verify import (
     verify_random,
 )
 
-SCHEMA_VERSION = "1"
-
 _EXTENSION = {"json": "json", "hdl": "v", "dot": "dot"}
-_COMPRESSOR_CHOICES = ("compressor72_proposed", "compressor72_cascade")
 
 
 # ---------------------------------------------------------------------------
@@ -63,26 +54,24 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _param_specs() -> dict[str, ParamSpec]:
+    """Every registry parameter once, in registry order."""
+    specs: dict[str, ParamSpec] = {}
+    for info in REGISTRY.values():
+        for key, spec in info.params.items():
+            specs.setdefault(key, spec)
+    return specs
+
+
 def _add_block_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--width", type=int, default=None, help="adder width in bits")
-    parser.add_argument("--rows", type=int, default=None, help="array rows")
-    parser.add_argument("--cols", type=int, default=None, help="array columns")
-    parser.add_argument(
-        "--middle-pick",
-        choices=MIDDLE_PICKS,
-        default=None,
-        dest="middle_pick",
-        help="which middle wire of the half sorter becomes the carry",
-    )
-    parser.add_argument(
-        "--compressor",
-        choices=_COMPRESSOR_CHOICES,
-        default=None,
-        help="column compressor used by array blocks",
-    )
-
-
-_PARAM_FLAGS = ("width", "rows", "cols", "middle_pick", "compressor")
+    for key, spec in _param_specs().items():
+        parser.add_argument(
+            f"--{key.replace('_', '-')}",
+            type=spec.kind,
+            choices=spec.choices,
+            default=None,
+            help=spec.help,
+        )
 
 
 def _block_spec(args: argparse.Namespace, generator: str, strict: bool) -> BlockSpec:
@@ -98,7 +87,7 @@ def _block_spec(args: argparse.Namespace, generator: str, strict: bool) -> Block
         )
     accepted = REGISTRY[generator].params
     params = {}
-    for key in _PARAM_FLAGS:
+    for key in _param_specs():
         value = getattr(args, key)
         if value is None:
             continue

@@ -63,6 +63,10 @@ ONE = Const.ONE
 #: A net id inside a builder, or a tie-off constant.
 NetRef = Union[int, Const]
 
+#: Version stamped on every JSON document gatelab writes, and the one
+#: it accepts back.
+SCHEMA_VERSION = "1"
+
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_/]*$")
 
 
@@ -380,17 +384,6 @@ class CircuitBuilder:
         low = self.and_(self.inv(select), when0)
         high = self.and_(select, when1)
         return self.or_(low, high, name=name)
-
-    def add_macro(self, macro: str, *ins: NetRef, name: str | None = None) -> NetRef:
-        if macro == "XOR2":
-            if len(ins) != 2:
-                raise BuildError("XOR2 takes 2 inputs")
-            return self.xor(*ins, name=name)
-        if macro == "MUX2":
-            if len(ins) != 3:
-                raise BuildError("MUX2 takes select, when0, when1")
-            return self.mux(*ins, name=name)
-        raise BuildError(f"unknown macro {macro!r}")
 
     # ---------------- hierarchy ----------------
 

@@ -18,10 +18,8 @@ import os
 import re
 import tempfile
 
-from .core import Cell, Circuit, GateKind, NetlistError, validate
+from .core import SCHEMA_VERSION, Cell, Circuit, GateKind, NetlistError, validate
 from .timing import ArrivalMap
-
-SCHEMA_VERSION = "1"
 
 
 class FormatError(NetlistError):

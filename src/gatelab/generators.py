@@ -375,11 +375,12 @@ def pipeline(
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """One accepted generator parameter."""
+    """One accepted generator parameter; the CLI derives its flag from it."""
 
     default: Any
     kind: type
     choices: tuple[Any, ...] | None = None
+    help: str = ""
 
 
 @dataclass(frozen=True)
@@ -404,10 +405,16 @@ class BlockSpec:
         return f"{self.generator}({inner})"
 
 
-_PICK = ParamSpec("first", str, MIDDLE_PICKS)
-_COMP = ParamSpec(
-    "compressor72_proposed", str, tuple(sorted(_COMPRESSORS))
+_PICK = ParamSpec(
+    "first", str, MIDDLE_PICKS, "which middle wire of the half sorter becomes the carry"
 )
+_COMP = ParamSpec(
+    "compressor72_proposed",
+    str,
+    tuple(sorted(_COMPRESSORS)),
+    "column compressor used by array blocks",
+)
+_COLS = ParamSpec(8, int, help="array columns")
 
 REGISTRY: dict[str, GeneratorInfo] = {
     "sorter2": GeneratorInfo(sorter2, {}, "sorter", "1-bit compare-exchange"),
@@ -440,15 +447,15 @@ REGISTRY: dict[str, GeneratorInfo] = {
     ),
     "kogge_stone": GeneratorInfo(
         kogge_stone,
-        {"width": ParamSpec(8, int)},
+        {"width": ParamSpec(8, int, help="adder width in bits")},
         "adder",
         "parallel-prefix adder",
     ),
     "array_reducer": GeneratorInfo(
         array_reducer,
         {
-            "rows": ParamSpec(7, int),
-            "cols": ParamSpec(8, int),
+            "rows": ParamSpec(7, int, help="array rows"),
+            "cols": _COLS,
             "compressor": _COMP,
             "middle_pick": _PICK,
         },
@@ -458,7 +465,7 @@ REGISTRY: dict[str, GeneratorInfo] = {
     "pipeline": GeneratorInfo(
         pipeline,
         {
-            "cols": ParamSpec(8, int),
+            "cols": _COLS,
             "compressor": _COMP,
             "middle_pick": _PICK,
         },

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .core import BASIC_KINDS, Circuit, GateKind, NetlistError
+from .core import BASIC_KINDS, SCHEMA_VERSION, Circuit, GateKind, NetlistError
 
 _NEG_INF = float("-inf")
 
@@ -203,7 +203,7 @@ class ComparisonReport:
 
     def to_dict(self) -> dict:
         entry = {
-            "schema_version": "1",
+            "schema_version": SCHEMA_VERSION,
             "model": {"inv_cost": self.model.inv_cost},
             "blocks": self.blocks,
         }

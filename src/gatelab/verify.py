@@ -2,10 +2,15 @@
 
 Each block family has an oracle that recomputes the intended result
 with plain integer arithmetic (never with the netlist itself) and
-compares.  Exhaustive sweeps cover every input combination up to a
-hard bound of 24 inputs; above that, a seeded random mode draws from
-numpy's default_rng (PCG64) after always trying a small structured
-suite (all zeros, all ones, one-hot walk, per-column saturation).
+compares.  Each oracle is stated once, either as a weight 2^e per input
+and output port or as the expected value of each named quantity, and
+both its vector ``check`` and its scalar ``explain`` derive from that
+statement; the registry names the oracle of each block.
+
+Exhaustive sweeps cover every input combination up to a hard bound of
+24 inputs; above that, a seeded random mode draws from numpy's
+default_rng (PCG64) after always trying a small structured suite (all
+zeros, all ones, one-hot walk, per-column saturation).
 
 Failures report the first counterexample in scan order; for
 exhaustive mode that is the lexicographically first failing input
@@ -15,15 +20,16 @@ tuple, because enumeration order is lexicographic (see simulate).
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Circuit, NetlistError
+from .core import SCHEMA_VERSION, Circuit, NetlistError
+from .generators import REGISTRY
 from .simulate import evaluate_batch, iter_exhaustive
 
-SCHEMA_VERSION = "1"
 EXHAUSTIVE_INPUT_BOUND = 24
 PRNG_NAME = "numpy default_rng (PCG64)"
 
@@ -37,6 +43,9 @@ class ExhaustiveBoundError(NetlistError):
 # ---------------------------------------------------------------------------
 
 Columns = Mapping[str, np.ndarray]
+Values = Mapping[str, int]
+#: Port names -> the exponent e of each port's weight 2^e.
+Exponents = Callable[[Sequence[str]], dict[str, int]]
 
 
 @dataclass(frozen=True)
@@ -46,207 +55,150 @@ class Oracle:
 
     name: str
     check: Callable[[Columns, Columns], np.ndarray]
-    explain: Callable[[Mapping[str, int], Mapping[str, int]], tuple[dict, dict]]
+    explain: Callable[[Values, Values], tuple[dict, dict]]
 
 
-def _stack(cols: Columns) -> np.ndarray:
-    return np.stack([np.asarray(c, dtype=np.int64) for c in cols.values()])
+def _per_quantity(name: str, quantities: Callable) -> Oracle:
+    """An oracle from ``quantities(ins, outs) -> (expected, actual)``.
+
+    The same arithmetic runs on int64 columns in ``check`` and on one
+    vector's ints in ``explain``; a row passes when every expected
+    quantity equals the actual one of the same name.
+    """
+
+    def check(ins: Columns, outs: Columns) -> np.ndarray:
+        expected, actual = quantities(_int64(ins), _int64(outs))
+        return np.logical_and.reduce([expected[k] == actual[k] for k in expected])
+
+    return Oracle(name, check, quantities)
 
 
-def _weighted(cols: Columns, weight_of: Callable[[str], int]) -> np.ndarray:
-    total = None
-    for port, col in cols.items():
-        term = np.asarray(col, dtype=np.int64) * weight_of(port)
-        total = term if total is None else total + term
-    assert total is not None
-    return total
+def _int64(cols: Columns) -> dict[str, np.ndarray]:
+    return {port: np.asarray(col, dtype=np.int64) for port, col in cols.items()}
 
 
-def _index_weight(prefix: str) -> Callable[[str], int]:
-    def weight(port: str) -> int:
-        assert port.startswith(prefix)
-        return 1 << int(port[len(prefix):])
+def _weighted(
+    name: str,
+    in_label: str,
+    in_exponents: Exponents,
+    out_label: str,
+    out_exponents: Exponents,
+) -> Oracle:
+    """The oracle sum(in_p * 2^e_p) == sum(out_p * 2^e_p) over all ports."""
 
-    return weight
+    def check(ins: Columns, outs: Columns) -> np.ndarray:
+        # Cancel the two sums one weight at a time, carrying the remainder
+        # upward: a row fails when a remainder is odd or the last is not
+        # zero.  |carry| never exceeds the port count, so int32 is exact
+        # at any width.
+        terms = defaultdict(list)  # exponent -> [(column, np.add | np.subtract)]
+        for port, e in in_exponents(tuple(ins)).items():
+            terms[e].append((ins[port], np.add))
+        for port, e in out_exponents(tuple(outs)).items():
+            terms[e].append((outs[port], np.subtract))
+        carry = np.zeros(len(next(iter(ins.values()))), np.int32)
+        odd = np.zeros_like(carry)  # bit 0 set once any remainder was odd
+        for e in range(max(terms) + 1):
+            for column, accumulate in terms.get(e, ()):
+                accumulate(carry, column, out=carry)
+            odd |= carry
+            carry >>= 1
+        return ((odd & 1) == 0) & (carry == 0)
+
+    def explain(ins: Values, outs: Values) -> tuple[dict, dict]:
+        expected = _total(ins, in_exponents)
+        return {in_label: expected}, {out_label: _total(outs, out_exponents)}
+
+    return Oracle(name, check, explain)
 
 
-def _sorter_check(ins: Columns, outs: Columns) -> np.ndarray:
-    stacked = _stack(ins)
-    expected = np.sort(stacked, axis=0)[::-1]
-    return np.all(_stack(outs) == expected, axis=0)
+def _total(values: Values, exponents: Exponents) -> int:
+    return sum(values[port] << e for port, e in exponents(tuple(values)).items())
 
 
-def _sorter_explain(ins: Mapping[str, int], outs: Mapping[str, int]):
-    expected = sorted(ins.values(), reverse=True)
+def _each(exponent: Callable[[str], int]) -> Exponents:
+    return lambda ports: {port: exponent(port) for port in ports}
+
+
+def _fixed(**exponents: int) -> Exponents:
+    return _each(exponents.__getitem__)
+
+
+def _adder_outputs(ports: Sequence[str]) -> dict[str, int]:
+    # s<i> at 2^i and cout one weight above the top sum bit
+    return {p: len(ports) - 1 if p == "cout" else int(p[1:]) for p in ports}
+
+
+_UNIT = _each(lambda port: 0)
+_INDEX = _each(lambda port: int(port[1:]))  # s<i> -> i
+_COLUMN = _each(lambda port: int(port.rsplit("_", 1)[1]))  # bit_<r>_<c> -> c
+
+
+def _sorted_bits(ins: Values) -> list:
+    """The input bits sorted high to low: bit k is set when more than k
+    inputs are."""
+    total = sum(ins.values())
+    return [(total > k) * 1 for k in range(len(ins))]
+
+
+def _sorter(ins: Values, outs: Values):
+    return dict(zip(outs, _sorted_bits(ins))), dict(outs)
+
+
+def _half_sorter(ins: Values, outs: Values):
+    # w1 is the max and w4 the min; the middle pair counts as a multiset
+    top, mid1, mid2, bottom = _sorted_bits(ins)
     return (
-        {port: val for port, val in zip(outs, expected)},
-        dict(outs),
+        {"w1": top, "w2 + w3": mid1 + mid2, "w4": bottom},
+        {"w1": outs["w1"], "w2 + w3": outs["w2"] + outs["w3"], "w4": outs["w4"]},
     )
 
 
-def _half_sorter_check(ins: Columns, outs: Columns) -> np.ndarray:
-    expected = np.sort(_stack(ins), axis=0)[::-1]
-    w1, w2, w3, w4 = (np.asarray(outs[k], dtype=np.int64) for k in ("w1", "w2", "w3", "w4"))
-    ok = w1 == expected[0]
-    ok &= w4 == expected[3]
-    ok &= (w2 + w3) == (expected[1] + expected[2])
-    ok &= (w1 >= w2) & (w2 >= w4) & (w1 >= w3) & (w3 >= w4)
-    return ok
-
-
-def _half_sorter_explain(ins: Mapping[str, int], outs: Mapping[str, int]):
-    expected = sorted(ins.values(), reverse=True)
-    return (
-        {
-            "w1": expected[0],
-            "middle_multiset": sorted(expected[1:3]),
-            "w4": expected[3],
-        },
-        {
-            "w1": outs["w1"],
-            "middle_multiset": sorted((outs["w2"], outs["w3"])),
-            "w4": outs["w4"],
-        },
-    )
-
-
-def _full_adder_check(ins: Columns, outs: Columns) -> np.ndarray:
-    total = sum(np.asarray(ins[k], dtype=np.int64) for k in ("A", "B", "C"))
-    return (np.asarray(outs["Carry"], np.int64) == total >> 1) & (
-        np.asarray(outs["Sum"], np.int64) == (total & 1)
-    )
-
-
-def _full_adder_explain(ins: Mapping[str, int], outs: Mapping[str, int]):
+def _full_adder(ins: Values, outs: Values):
     total = ins["A"] + ins["B"] + ins["C"]
     return {"Carry": total >> 1, "Sum": total & 1}, dict(outs)
 
 
-def _sfa_check(ins: Columns, outs: Columns) -> np.ndarray:
-    total = sum(np.asarray(c, dtype=np.int64) for c in ins.values())
-    got = (
-        2 * np.asarray(outs["Carry"], np.int64)
-        + np.asarray(outs["Sum"], np.int64)
-        + np.asarray(outs["W"], np.int64)
-    )
-    return got == total
-
-
-def _sfa_explain(ins: Mapping[str, int], outs: Mapping[str, int]):
-    total = sum(ins.values())
-    got = 2 * outs["Carry"] + outs["Sum"] + outs["W"]
-    return {"total": total}, {"2*Carry + Sum + W": got, "outputs": dict(outs)}
-
-
-def _compressor_check(ins: Columns, outs: Columns) -> np.ndarray:
-    total = sum(np.asarray(c, dtype=np.int64) for c in ins.values())
-    got = (
-        np.asarray(outs["Sum"], np.int64)
-        + 2 * np.asarray(outs["Carry"], np.int64)
-        + 2 * np.asarray(outs["Co1"], np.int64)
-        + 4 * np.asarray(outs["Co2"], np.int64)
-    )
-    return got == total
-
-
-def _compressor_explain(ins: Mapping[str, int], outs: Mapping[str, int]):
-    total = sum(ins.values())
-    got = outs["Sum"] + 2 * outs["Carry"] + 2 * outs["Co1"] + 4 * outs["Co2"]
-    return (
-        {"total": total},
-        {"Sum + 2*Carry + 2*Co1 + 4*Co2": got, "outputs": dict(outs)},
-    )
-
-
-def _adder_split(ins: Columns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    a = _weighted({k: v for k, v in ins.items() if k[0] == "a"}, _index_weight("a"))
-    b = _weighted({k: v for k, v in ins.items() if k[0] == "b"}, _index_weight("b"))
-    return a, b, np.asarray(ins["cin"], dtype=np.int64)
-
-
-def _adder_check(ins: Columns, outs: Columns) -> np.ndarray:
-    a, b, cin = _adder_split(ins)
-    width = len([k for k in ins if k[0] == "a"])
-    s = _weighted({k: v for k, v in outs.items() if k != "cout"}, _index_weight("s"))
-    got = s + (np.asarray(outs["cout"], np.int64) << width)
-    return got == a + b + cin
-
-
-def _adder_explain(ins: Mapping[str, int], outs: Mapping[str, int]):
-    width = len([k for k in ins if k[0] == "a"])
-    a = sum(v << int(k[1:]) for k, v in ins.items() if k[0] == "a")
-    b = sum(v << int(k[1:]) for k, v in ins.items() if k[0] == "b")
-    s = sum(v << int(k[1:]) for k, v in outs.items() if k[0] == "s")
-    got = s + (outs["cout"] << width)
-    return {"a + b + cin": a + b + ins["cin"]}, {"s + 2^w*cout": got}
-
-
-def _array_weight(port: str) -> int:
-    # bit_<r>_<c> carries weight 2^c
-    return 1 << int(port.rsplit("_", 1)[1])
-
-
-def _row_weight(port: str) -> int:
-    if port[0] == "s":
-        return 1 << int(port[1:])
-    return 1 << (int(port[1:]) + 1)  # y<c> sits one weight up
-
-
-def _reducer_check(ins: Columns, outs: Columns) -> np.ndarray:
-    return _weighted(outs, _row_weight) == _weighted(ins, _array_weight)
-
-
-def _reducer_explain(ins: Mapping[str, int], outs: Mapping[str, int]):
-    total = sum(v * _array_weight(k) for k, v in ins.items())
-    got = sum(v * _row_weight(k) for k, v in outs.items())
-    return {"array total": total}, {"two-row total": got}
-
-
-def _pipeline_weight(port: str) -> int:
-    return 1 << int(port[1:])
-
-
-def _pipeline_check(ins: Columns, outs: Columns) -> np.ndarray:
-    return _weighted(outs, _pipeline_weight) == _weighted(ins, _array_weight)
-
-
-def _pipeline_explain(ins: Mapping[str, int], outs: Mapping[str, int]):
-    total = sum(v * _array_weight(k) for k, v in ins.items())
-    got = sum(v << int(k[1:]) for k, v in outs.items())
-    return {"sum of rows": total}, {"merged value": got}
-
-
 ORACLES: dict[str, Oracle] = {
-    "sorter": Oracle("sorter", _sorter_check, _sorter_explain),
-    "half_sorter": Oracle("half_sorter", _half_sorter_check, _half_sorter_explain),
-    "full_adder": Oracle("full_adder", _full_adder_check, _full_adder_explain),
-    "sfa": Oracle("sfa", _sfa_check, _sfa_explain),
-    "compressor72": Oracle("compressor72", _compressor_check, _compressor_explain),
-    "adder": Oracle("adder", _adder_check, _adder_explain),
-    "reducer": Oracle("reducer", _reducer_check, _reducer_explain),
-    "pipeline": Oracle("pipeline", _pipeline_check, _pipeline_explain),
-}
-
-_DEFAULT_ORACLE = {
-    "sorter2": "sorter",
-    "sorting_network4": "sorter",
-    "half_sorter4": "half_sorter",
-    "traditional_fa": "full_adder",
-    "adjusted_fa": "full_adder",
-    "sfa": "sfa",
-    "compressor72_proposed": "compressor72",
-    "compressor72_cascade": "compressor72",
-    "kogge_stone": "adder",
-    "array_reducer": "reducer",
-    "pipeline": "pipeline",
+    "sorter": _per_quantity("sorter", _sorter),
+    "half_sorter": _per_quantity("half_sorter", _half_sorter),
+    "full_adder": _per_quantity("full_adder", _full_adder),
+    "sfa": _weighted(
+        "sfa", "total", _UNIT, "2*Carry + Sum + W", _fixed(Carry=1, Sum=0, W=0)
+    ),
+    "compressor72": _weighted(
+        "compressor72",
+        "total",
+        _UNIT,
+        "Sum + 2*Carry + 2*Co1 + 4*Co2",
+        _fixed(Sum=0, Carry=1, Co1=1, Co2=2),
+    ),
+    "adder": _weighted(
+        "adder",
+        "a + b + cin",
+        _each(lambda port: 0 if port == "cin" else int(port[1:])),
+        "s + 2^w*cout",
+        _adder_outputs,
+    ),
+    "reducer": _weighted(
+        "reducer",
+        "array total",
+        _COLUMN,
+        "two-row total",
+        _each(lambda port: int(port[1:]) + (port[0] == "y")),  # y<c> sits one up
+    ),
+    "pipeline": _weighted("pipeline", "sum of rows", _COLUMN, "merged value", _INDEX),
 }
 
 
 def resolve_oracle(circuit: Circuit, oracle: str | Oracle | None) -> Oracle:
+    """An explicit oracle, one named in ``ORACLES``, or (for None) the
+    oracle the registry names for a block of the circuit's name."""
     if isinstance(oracle, Oracle):
         return oracle
     if oracle is None:
-        oracle = _DEFAULT_ORACLE.get(circuit.name)
+        info = REGISTRY.get(circuit.name)
+        oracle = info.oracle if info is not None else None
         if oracle is None:
             raise NetlistError(
                 f"no default oracle for block {circuit.name!r}; pass one explicitly"
@@ -307,10 +259,7 @@ def _counterexample(
     index: int | None,
 ) -> dict:
     vec = {port: int(columns[port][local]) for port in circuit.inputs}
-    out = {
-        port: int(outputs[port][local])
-        for port in circuit.outputs
-    }
+    out = {port: int(outputs[port][local]) for port in circuit.outputs}
     expected, actual = oracle.explain(vec, out)
     return {"index": index, "vector": vec, "expected": expected, "actual": actual}
 
@@ -379,6 +328,8 @@ def verify_random(
     """Structured suite plus ``count`` seeded random vectors."""
     if count < 0:
         raise NetlistError("count must be >= 0")
+    if seed < 0:
+        raise NetlistError("seed must be >= 0")
     orc = resolve_oracle(circuit, oracle)
     n = len(circuit.inputs)
     parts = []

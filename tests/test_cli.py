@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from gatelab import generators
+from gatelab import cli, generators
 from gatelab.core import new_circuit
 from gatelab.export import from_json
 
@@ -75,6 +75,16 @@ def test_build_parameter_flags(run_cli):
     )
 
 
+def test_parameter_flags_come_from_the_registry(capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["build", "--help"])
+    usage = " ".join(capsys.readouterr().out.split())
+    for info in generators.REGISTRY.values():
+        for key, spec in info.params.items():
+            assert f"--{key.replace('_', '-')}" in usage
+            assert spec.help and spec.help in usage
+
+
 def test_unknown_block_is_a_usage_error(run_cli):
     code, out, err = run_cli("build", "nosuchblock")
     assert code == 2
@@ -134,6 +144,23 @@ def test_verify_random_mode(run_cli):
     assert doc["mode"] == "random"
     assert doc["seed"] == 1
     assert doc["status"] == "pass"
+
+
+def test_verify_wide_adder_is_exact(run_cli):
+    code, out, _ = run_cli(
+        "verify", "kogge_stone", "--width", "64", "--random", "--count", "500"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "pass"
+    assert doc["random_count"] == 500
+
+
+def test_verify_negative_seed_is_a_usage_error(run_cli):
+    code, out, err = run_cli("verify", "sorter2", "--random", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "seed" in err
 
 
 def test_verify_mode_defaults_track_the_bound(run_cli):

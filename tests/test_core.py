@@ -156,18 +156,6 @@ def test_mux_macro_truth_table():
                 assert got == (v1 if vs else v0)
 
 
-def test_add_macro_dispatch():
-    b, a, y = build_pair()
-    out = b.add_macro("XOR2", a, y)
-    b.set_output("o", out)
-    with pytest.raises(BuildError):
-        b.add_macro("XOR2", a)
-    with pytest.raises(BuildError):
-        b.add_macro("MUX2", a, y)
-    with pytest.raises(BuildError):
-        b.add_macro("NOPE", a, y)
-
-
 # ---------------------------------------------------------------------------
 # hierarchy
 # ---------------------------------------------------------------------------

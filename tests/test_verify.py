@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from gatelab.core import NetlistError, new_circuit
+from gatelab.core import GateKind, NetlistError, new_circuit
 from gatelab.generators import REGISTRY, BlockSpec, build_block
+from gatelab.simulate import evaluate_batch, iter_exhaustive
 from gatelab.verify import (
     EXHAUSTIVE_INPUT_BOUND,
     ORACLES,
@@ -27,6 +30,16 @@ def broken_full_adder():
     b.set_output("Carry", b.and_(a, x, name="carry"))
     b.set_output("Sum", b.xor(b.xor(a, x), c, name="sum"))
     return b.seal()
+
+
+def with_kind(circuit, net_name, kind):
+    """``circuit`` with the cell driving ``net_name`` turned into ``kind``."""
+    net = circuit.net(net_name)
+    cells = tuple(
+        dataclasses.replace(cell, kind=kind) if cell.out == net else cell
+        for cell in circuit.cells
+    )
+    return dataclasses.replace(circuit, cells=cells)
 
 
 def leaky_compressor():
@@ -68,6 +81,25 @@ def test_exhaustive_counterexample_is_lex_first():
     assert ce["actual"] == {"Carry": 0, "Sum": 0}
     # the sweep still covers the whole space
     assert report.vectors_tried == 8
+
+
+def test_weighted_counterexample_is_pinned():
+    # Co2 = h2 + C*h1 of the second-lane adder turned into an AND: four
+    # ones in x4..x7 need Co2 and get nothing.
+    broken = with_kind(
+        build_block(BlockSpec("compressor72_proposed")), "afa_w2/carry", GateKind.AND2
+    )
+    report = verify_exhaustive(broken)
+    assert report.status == "fail"
+    assert report.counterexample == {
+        "index": 60,
+        "vector": {
+            "x1": 0, "x2": 0, "x3": 0, "x4": 1, "x5": 1, "x6": 1, "x7": 1,
+            "Ci1": 0, "Ci2": 0,
+        },
+        "expected": {"total": 4},
+        "actual": {"Sum + 2*Carry + 2*Co1 + 4*Co2": 0},
+    }
 
 
 def test_exhaustive_refuses_wide_blocks():
@@ -126,6 +158,33 @@ def test_random_count_validation():
     c = build_block(BlockSpec("sorter2"))
     with pytest.raises(NetlistError):
         verify_random(c, count=-1)
+    with pytest.raises(NetlistError, match="seed"):
+        verify_random(c, seed=-1)
+
+
+# ---------------------------------------------------------------------------
+# wide blocks: sums past 2^63
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "spec",
+    (BlockSpec("pipeline", {"cols": 64}), BlockSpec("kogge_stone", {"width": 64})),
+    ids=BlockSpec.label,
+)
+def test_wide_blocks_verify(spec):
+    report = verify_random(build_block(spec), seed=0, count=200)
+    assert report.status == "pass"
+
+
+def test_wide_adder_fault_on_top_sum_bit_is_caught():
+    # s63 = (p + c)·!(pc) with its final AND turned into an OR
+    adder = build_block(BlockSpec("kogge_stone", {"width": 64}))
+    report = verify_random(with_kind(adder, "s_63", GateKind.OR2), seed=0, count=200)
+    assert report.status == "fail"
+    ce = report.counterexample
+    (expected,) = ce["expected"].values()
+    (actual,) = ce["actual"].values()
+    assert abs(actual - expected) == 1 << 63
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +219,39 @@ def test_independence_needs_compressor_ports():
 # ---------------------------------------------------------------------------
 # oracle resolution and report shape
 # ---------------------------------------------------------------------------
+
+# small parameters keep every block exhaustive and explain() row by row cheap
+_SMALL = {
+    "kogge_stone": {"width": 4},
+    "array_reducer": {"cols": 1},
+    "pipeline": {"cols": 1},
+}
+
+
+@pytest.mark.parametrize("oracle", sorted(ORACLES))
+def test_check_agrees_with_explain(oracle):
+    name = next(n for n, info in REGISTRY.items() if info.oracle == oracle)
+    circuit = build_block(BlockSpec(name, _SMALL.get(name, {})))
+    _, ins = next(iter_exhaustive(circuit))
+    rows = 1 << len(circuit.inputs)
+    flipped_rows = np.arange(rows) % 3 == 0
+    # each output alone, then all of them at once, which can leave a
+    # weighted sum off by a multiple of twice its top weight, or unchanged
+    for flipped in [(port,) for port in circuit.outputs] + [circuit.outputs]:
+        outs = dict(evaluate_batch(circuit, ins))
+        for port in flipped:
+            outs[port] = outs[port] ^ flipped_rows
+        mask = ORACLES[oracle].check(ins, outs)
+        for row in range(rows):
+            expected, actual = ORACLES[oracle].explain(
+                {p: int(col[row]) for p, col in ins.items()},
+                {p: int(col[row]) for p, col in outs.items()},
+            )
+            agree = list(expected.values()) == list(actual.values())
+            assert bool(mask[row]) == agree, (flipped, row)
+        if len(flipped) == 1:
+            assert (mask == ~flipped_rows).all()
+
 
 def test_registry_oracles_all_exist():
     for name, info in REGISTRY.items():
