@@ -2,7 +2,9 @@
 
 Machine-readable JSON goes to stdout (or --out); human-readable
 status and tables go to stderr.  Exit codes: 0 success or pass, 1
-verification failure, 2 usage or parameter error, 3 I/O error.
+verification failure, 2 usage or parameter error, 3 I/O error, 4
+internal error (any other exception, such as running out of memory,
+reported as one line on stderr).
 
 Identical invocations produce byte-identical JSON, so reports can be
 diffed across runs.  Passing --manifest writes a RunManifest JSON
@@ -343,6 +345,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def entry() -> None:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping, Sequence, Union
 
 
 class NetlistError(Exception):
@@ -43,6 +43,17 @@ ARITY = {
     GateKind.INV: 1,
 }
 
+#: Each gate's boolean function, the only place it is written.  The
+#: expressions hold alike for Python ints and for uint8 numpy columns of
+#: 0/1, so constant folding and simulation both read this table.
+GATE_FN: dict[GateKind, Callable[..., Any]] = {
+    GateKind.AND2: lambda a, b: a & b,
+    GateKind.OR2: lambda a, b: a | b,
+    GateKind.NAND2: lambda a, b: (a & b) ^ 1,
+    GateKind.NOR2: lambda a, b: (a | b) ^ 1,
+    GateKind.INV: lambda a: a ^ 1,
+}
+
 # Inverters are tracked apart from the 2-input gates in area and timing.
 BASIC_KINDS = (GateKind.AND2, GateKind.OR2, GateKind.NAND2, GateKind.NOR2)
 
@@ -52,9 +63,6 @@ class Const(enum.Enum):
 
     ZERO = 0
     ONE = 1
-
-    def __invert__(self) -> "Const":
-        return ONE if self is ZERO else ZERO
 
 
 ZERO = Const.ZERO
@@ -281,8 +289,9 @@ class CircuitBuilder:
     def add_gate(self, kind: GateKind, *ins: NetRef, name: str | None = None) -> NetRef:
         """Append one gate; returns its output ref.
 
-        Constant inputs fold: the result may be an existing net, a Const,
-        or a smaller gate (NAND/NOR with a tied input become inverters).
+        Constant inputs fold by evaluating :data:`GATE_FN`: the result may
+        be an existing net, a Const, or an inverter (NAND/NOR with a tied
+        input).
         """
         self._alive()
         if kind not in ARITY:
@@ -294,61 +303,23 @@ class CircuitBuilder:
         for ref in ins:
             _check_ref(ref, len(self._net_names))
 
-        if kind is GateKind.INV:
-            (a,) = ins
-            if isinstance(a, Const):
-                return ~a
+        nets = [ref for ref in ins if not isinstance(ref, Const)]
+        if len(nets) == len(ins):
             out = self._new_net(name)
-            self._cells.append(Cell(kind, (a,), out))
+            self._cells.append(Cell(kind, ins, out))
             return out
-
-        a, b = ins
-        if isinstance(a, Const) or isinstance(b, Const):
-            folded = self._fold_binary(kind, a, b)
-            if folded is not None:
-                return folded
-            # exactly one side constant and not absorbing: reduce
-            net, const = (a, b) if isinstance(b, Const) else (b, a)
-            assert isinstance(net, int) and isinstance(const, Const)
-            if kind is GateKind.AND2:
-                return net  # const is ONE here
-            if kind is GateKind.OR2:
-                return net  # const is ZERO
-            if kind is GateKind.NAND2:
-                return self.inv(net, name=name)  # const is ONE
-            return self.inv(net, name=name)  # NOR2 with ZERO
-
-        out = self._new_net(name)
-        self._cells.append(Cell(kind, (a, b), out))
-        return out
-
-    @staticmethod
-    def _fold_binary(kind: GateKind, a: NetRef, b: NetRef) -> NetRef | None:
-        """Absorbing/driving constant results, or None when a gate remains."""
-        consts = {x for x in (a, b) if isinstance(x, Const)}
-        if kind is GateKind.AND2:
-            if ZERO in consts:
-                return ZERO
-            if a is ONE and b is ONE:
-                return ONE
-        elif kind is GateKind.OR2:
-            if ONE in consts:
-                return ONE
-            if a is ZERO and b is ZERO:
-                return ZERO
-        elif kind is GateKind.NAND2:
-            if ZERO in consts:
-                return ONE
-            if a is ONE and b is ONE:
-                return ZERO
-        elif kind is GateKind.NOR2:
-            if ONE in consts:
-                return ZERO
-            if a is ZERO and b is ZERO:
-                return ONE
-        if isinstance(a, Const) and isinstance(b, Const):
-            raise AssertionError("two-constant case not folded")
-        return None
+        fn = GATE_FN[kind]
+        if not nets:
+            return Const(fn(*(ref.value for ref in ins)))
+        # One net x and one constant: the gate is x, !x or a constant.
+        (x,) = nets
+        low, high = (
+            fn(*(ref.value if isinstance(ref, Const) else bit for ref in ins))
+            for bit in (0, 1)
+        )
+        if low == high:
+            return Const(low)
+        return x if (low, high) == (0, 1) else self.inv(x, name=name)
 
     def and_(self, a: NetRef, b: NetRef, name: str | None = None) -> NetRef:
         return self.add_gate(GateKind.AND2, a, b, name=name)

@@ -375,9 +375,11 @@ def pipeline(
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """One accepted generator parameter; the CLI derives its flag from it."""
+    """One accepted generator parameter; the CLI derives its flag from it.
 
-    default: Any
+    Its default is the generator's own keyword default, stated nowhere else.
+    """
+
     kind: type
     choices: tuple[Any, ...] | None = None
     help: str = ""
@@ -406,15 +408,12 @@ class BlockSpec:
 
 
 _PICK = ParamSpec(
-    "first", str, MIDDLE_PICKS, "which middle wire of the half sorter becomes the carry"
+    str, MIDDLE_PICKS, "which middle wire of the half sorter becomes the carry"
 )
 _COMP = ParamSpec(
-    "compressor72_proposed",
-    str,
-    tuple(sorted(_COMPRESSORS)),
-    "column compressor used by array blocks",
+    str, tuple(sorted(_COMPRESSORS)), "column compressor used by array blocks"
 )
-_COLS = ParamSpec(8, int, help="array columns")
+_COLS = ParamSpec(int, help="array columns")
 
 REGISTRY: dict[str, GeneratorInfo] = {
     "sorter2": GeneratorInfo(sorter2, {}, "sorter", "1-bit compare-exchange"),
@@ -447,14 +446,14 @@ REGISTRY: dict[str, GeneratorInfo] = {
     ),
     "kogge_stone": GeneratorInfo(
         kogge_stone,
-        {"width": ParamSpec(8, int, help="adder width in bits")},
+        {"width": ParamSpec(int, help="adder width in bits")},
         "adder",
         "parallel-prefix adder",
     ),
     "array_reducer": GeneratorInfo(
         array_reducer,
         {
-            "rows": ParamSpec(7, int, help="array rows"),
+            "rows": ParamSpec(int, help="array rows"),
             "cols": _COLS,
             "compressor": _COMP,
             "middle_pick": _PICK,

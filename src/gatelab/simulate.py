@@ -1,8 +1,10 @@
-"""Circuit evaluation: single vectors and vectorized batches.
+"""Circuit evaluation: one engine for batches and single vectors.
 
-The batch engine keeps one uint8 numpy array of 0/1 values per net and
-walks the cells once, so exhaustive sweeps and large random samples are
-bitwise-parallel across vectors rather than per-vector Python loops.
+The engine keeps one uint8 numpy array of 0/1 values per live net and
+walks the cells once, applying each gate's function from
+:data:`~gatelab.core.GATE_FN`, so exhaustive sweeps and large random
+samples are bitwise-parallel across vectors rather than per-vector
+Python loops.  A single vector is a batch of one row.
 
 Exhaustive enumeration order is documented and relied on elsewhere:
 vector index v assigns input i (in declared order) the bit
@@ -16,55 +18,39 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .core import Circuit, GateKind, NetlistError
+from .core import GATE_FN, Circuit, NetlistError
 
 
 class SimulationError(NetlistError):
     """Bad stimulus for an evaluation call."""
 
 
-def _check_vector(circuit: Circuit, vector: Mapping[str, int]) -> None:
-    missing = [p for p in circuit.inputs if p not in vector]
-    extra = [p for p in vector if p not in circuit.inputs]
+def _stimulus(circuit: Circuit, columns: Mapping[str, object]) -> list[np.ndarray]:
+    """The input columns as uint8 arrays in port order, after checking
+    that they cover exactly the inputs, are 1-D, share one length and
+    hold only 0 and 1."""
+    missing = [p for p in circuit.inputs if p not in columns]
+    extra = [p for p in columns if p not in circuit.inputs]
     if missing or extra:
         raise SimulationError(
             f"{circuit.name}: stimulus does not match inputs "
             f"(missing {missing}, unexpected {extra})"
         )
-    for port, value in vector.items():
-        if value not in (0, 1):
-            raise SimulationError(f"{circuit.name}: {port}={value!r} is not a bit")
-
-
-def evaluate(
-    circuit: Circuit,
-    vector: Mapping[str, int],
-    probe: Iterable[str] = (),
-) -> dict[str, int]:
-    """Evaluate one input vector; returns outputs (plus probed nets)."""
-    _check_vector(circuit, vector)
-    values: list[int] = [0] * circuit.num_nets
-    for i, port in enumerate(circuit.inputs):
-        values[i] = int(vector[port])
-    for cell in circuit.cells:
-        ins = cell.ins
-        if cell.kind is GateKind.AND2:
-            out = values[ins[0]] & values[ins[1]]
-        elif cell.kind is GateKind.OR2:
-            out = values[ins[0]] | values[ins[1]]
-        elif cell.kind is GateKind.NAND2:
-            out = 1 - (values[ins[0]] & values[ins[1]])
-        elif cell.kind is GateKind.NOR2:
-            out = 1 - (values[ins[0]] | values[ins[1]])
+    cols = []
+    for port in circuit.inputs:
+        col = np.asarray(columns[port])
+        if col.ndim != 1:
+            raise SimulationError(f"{circuit.name}: column {port} is not 1-D")
+        if col.dtype == np.uint8:
+            bits = not col.size or int(col.max()) <= 1
         else:
-            out = 1 - values[ins[0]]
-        values[cell.out] = out
-    result = {
-        port: values[net] for port, net in zip(circuit.outputs, circuit.output_nets)
-    }
-    for name in probe:
-        result[name] = values[circuit.net(name)]
-    return result
+            bits = col.dtype.kind in "biuf" and bool(np.all((col == 0) | (col == 1)))
+        if not bits:
+            raise SimulationError(f"{circuit.name}: column {port} is not 0/1")
+        cols.append(col.astype(np.uint8, copy=False))
+    if len({len(col) for col in cols}) > 1:
+        raise SimulationError("input columns differ in length")
+    return cols
 
 
 def evaluate_batch(
@@ -74,53 +60,48 @@ def evaluate_batch(
 ) -> dict[str, np.ndarray]:
     """Evaluate many vectors at once.
 
-    ``columns`` maps every input port to a uint8 array of 0/1 values;
-    all arrays must share one length.  Returns output (and probed)
-    columns of the same length.
+    ``columns`` maps every input port to a 1-D array of 0/1 values;
+    all arrays must share one length.  Returns uint8 output (and
+    probed) columns of the same length.
     """
-    missing = [p for p in circuit.inputs if p not in columns]
-    extra = [p for p in columns if p not in circuit.inputs]
-    if missing or extra:
-        raise SimulationError(
-            f"{circuit.name}: stimulus does not match inputs "
-            f"(missing {missing}, unexpected {extra})"
-        )
-    lengths = {len(col) for col in columns.values()}
-    if len(lengths) != 1:
-        raise SimulationError("input columns differ in length")
-
-    values: list[np.ndarray | None] = [None] * circuit.num_nets
-    for i, port in enumerate(circuit.inputs):
-        col = np.asarray(columns[port], dtype=np.uint8)
-        if col.size and int(col.max()) > 1:
-            raise SimulationError(f"{circuit.name}: column {port} is not 0/1")
-        values[i] = col
-    for cell in circuit.cells:
-        a = values[cell.ins[0]]
-        if cell.kind is GateKind.AND2:
-            out = a & values[cell.ins[1]]
-        elif cell.kind is GateKind.OR2:
-            out = a | values[cell.ins[1]]
-        elif cell.kind is GateKind.NAND2:
-            out = (a & values[cell.ins[1]]) ^ 1
-        elif cell.kind is GateKind.NOR2:
-            out = (a | values[cell.ins[1]]) ^ 1
-        else:
-            out = a ^ 1
-        values[cell.out] = out
+    probed = {name: circuit.net(name) for name in probe}
+    keep = {*circuit.output_nets, *probed.values()}
+    # Each net is dropped after its last reader, so only live nets hold
+    # arrays and each call reuses a few of them instead of faulting in
+    # nets x vectors bytes of fresh memory.
+    last_read = {net: k for k, cell in enumerate(circuit.cells) for net in cell.ins}
+    values: list = _stimulus(circuit, columns)
+    values += [None] * (circuit.num_nets - len(values))
+    for k, cell in enumerate(circuit.cells):
+        values[cell.out] = GATE_FN[cell.kind](*map(values.__getitem__, cell.ins))
+        for net in cell.ins:
+            if last_read[net] == k and net not in keep:
+                values[net] = None
     result = {
         port: values[net] for port, net in zip(circuit.outputs, circuit.output_nets)
     }
-    for name in probe:
-        result[name] = values[circuit.net(name)]
-    return result  # type: ignore[return-value]
+    for name, net in probed.items():
+        result[name] = values[net]
+    return result
+
+
+def evaluate(
+    circuit: Circuit,
+    vector: Mapping[str, int],
+    probe: Iterable[str] = (),
+) -> dict[str, int]:
+    """Evaluate one input vector; returns outputs (plus probed nets)."""
+    columns = {port: [value] for port, value in vector.items()}
+    outs = evaluate_batch(circuit, columns, probe)
+    return {name: int(col[0]) for name, col in outs.items()}
 
 
 def exhaustive_columns(
     n_inputs: int, start: int, stop: int
 ) -> list[np.ndarray]:
     """Input columns for vector indices [start, stop) in enumeration order."""
-    idx = np.arange(start, stop, dtype=np.int64)
+    # Indices past int64 (circuits of 64 or more inputs) stay Python ints.
+    idx = np.arange(start, stop, dtype=np.int64 if stop < 1 << 63 else object)
     return [
         ((idx >> (n_inputs - 1 - i)) & 1).astype(np.uint8) for i in range(n_inputs)
     ]
@@ -145,6 +126,5 @@ def vector_at(circuit: Circuit, index: int) -> dict[str, int]:
         raise SimulationError(
             f"{circuit.name}: index {index} outside [0, 2^{n})"
         )
-    return {
-        port: (index >> (n - 1 - i)) & 1 for i, port in enumerate(circuit.inputs)
-    }
+    cols = exhaustive_columns(n, index, index + 1)
+    return {port: int(col[0]) for port, col in zip(circuit.inputs, cols)}

@@ -101,19 +101,22 @@ def _clean_arrivals(circuit: Circuit, given: Mapping[str, int] | None) -> dict[s
     return arrivals
 
 
+def _longest_paths(circuit: Circuit, model: StageModel, launch: list) -> list:
+    """Longest-path stage count to every net, input net i launching at
+    ``launch[i]``; a net no launched input reaches stays at -inf."""
+    at = launch + [_NEG_INF] * (circuit.num_nets - len(launch))
+    for cell in circuit.cells:
+        at[cell.out] = max(at[src] for src in cell.ins) + model.cost(cell.kind)
+    return at
+
+
 def arrivals(
     circuit: Circuit,
     model: StageModel = DEFAULT_MODEL,
     input_arrivals: Mapping[str, int] | None = None,
 ) -> ArrivalMap:
     given = _clean_arrivals(circuit, input_arrivals)
-    net_arrival = [0] * circuit.num_nets
-    for port, at in given.items():
-        net_arrival[circuit.net(port)] = at
-    for cell in circuit.cells:
-        net_arrival[cell.out] = (
-            max(net_arrival[src] for src in cell.ins) + model.cost(cell.kind)
-        )
+    net_arrival = _longest_paths(circuit, model, list(given.values()))
     out = {port: net_arrival[circuit.output_net(port)] for port in circuit.outputs}
     return ArrivalMap(circuit, model, given, net_arrival, out)
 
@@ -134,14 +137,9 @@ def path_depth(
         raise NetlistError(f"no input named {input_port!r}")
     if output_port not in circuit.outputs:
         raise NetlistError(f"no output named {output_port!r}")
-    dist: list[float] = [_NEG_INF] * circuit.num_nets
-    dist[circuit.net(input_port)] = 0
-    for cell in circuit.cells:
-        best = max(dist[src] for src in cell.ins)
-        if best > _NEG_INF:
-            dist[cell.out] = best + model.cost(cell.kind)
-    got = dist[circuit.output_net(output_port)]
-    return None if got == _NEG_INF else int(got)
+    launch = [0 if port == input_port else _NEG_INF for port in circuit.inputs]
+    got = _longest_paths(circuit, model, launch)[circuit.output_net(output_port)]
+    return None if got == _NEG_INF else got
 
 
 def slack_to_input(
@@ -163,9 +161,6 @@ def slack_to_input(
 # area
 # ---------------------------------------------------------------------------
 
-_KIND_ORDER = (GateKind.AND2, GateKind.OR2, GateKind.NAND2, GateKind.NOR2, GateKind.INV)
-
-
 @dataclass
 class AreaReport:
     block: str
@@ -185,10 +180,10 @@ class AreaReport:
 
 
 def area(circuit: Circuit) -> AreaReport:
-    raw = circuit.counts()
-    counts = {kind.name: raw.get(kind, 0) for kind in _KIND_ORDER}
-    basic = sum(raw.get(kind, 0) for kind in BASIC_KINDS)
-    inverters = raw.get(GateKind.INV, 0)
+    raw = circuit.counts()  # every kind, in GateKind order
+    counts = {kind.name: n for kind, n in raw.items()}
+    basic = sum(raw[kind] for kind in BASIC_KINDS)
+    inverters = raw[GateKind.INV]
     return AreaReport(circuit.name, counts, basic, inverters, basic + inverters)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import SCHEMA_VERSION, Circuit, NetlistError
 from .generators import REGISTRY
-from .simulate import evaluate_batch, iter_exhaustive
+from .simulate import evaluate_batch, exhaustive_columns, iter_exhaustive
 
 EXHAUSTIVE_INPUT_BOUND = 24
 PRNG_NAME = "numpy default_rng (PCG64)"
@@ -368,19 +368,17 @@ def verify_cout_independence(circuit: Circuit) -> VerificationReport:
     Sweeps all 128 x-vectors against all four (Ci1, Ci2) pairs and
     compares the column carry-outs across pairs.
     """
-    need_in = tuple(f"x{i}" for i in range(1, 8)) + ("Ci1", "Ci2")
-    missing = [p for p in need_in if p not in circuit.inputs]
+    xs = tuple(f"x{i}" for i in range(1, 8))
+    cins = ("Ci1", "Ci2")
+    missing = [p for p in xs + cins if p not in circuit.inputs]
     missing += [p for p in ("Co1", "Co2") if p not in circuit.outputs]
     if missing:
         raise NetlistError(
             f"{circuit.name} lacks compressor ports: {missing}"
         )
-    idx = np.arange(512, dtype=np.int64)
+    # Row 4*x + pair holds x-vector x with carry-in pair `pair`.
     columns = {p: np.zeros(512, np.uint8) for p in circuit.inputs}
-    for j in range(7):
-        columns[f"x{j + 1}"] = (((idx >> 2) >> (6 - j)) & 1).astype(np.uint8)
-    columns["Ci1"] = ((idx >> 1) & 1).astype(np.uint8)
-    columns["Ci2"] = (idx & 1).astype(np.uint8)
+    columns.update(zip(xs + cins, exhaustive_columns(9, 0, 512)))
     outs = evaluate_batch(circuit, columns)
 
     co = {k: np.asarray(outs[k]).reshape(128, 4) for k in ("Co1", "Co2")}
@@ -389,12 +387,12 @@ def verify_cout_independence(circuit: Circuit) -> VerificationReport:
         diff = co[port] != co[port][:, :1]
         if bool(np.any(diff)):
             x_idx, pair = (int(v) for v in np.argwhere(diff)[0])
-            vec = {f"x{j + 1}": (x_idx >> (6 - j)) & 1 for j in range(7)}
+            row_a, row_b = 4 * x_idx, 4 * x_idx + pair
             failure = {
                 "output": port,
-                "x_vector": vec,
-                "carry_in_a": [0, 0],
-                "carry_in_b": [pair >> 1, pair & 1],
+                "x_vector": {p: int(columns[p][row_a]) for p in xs},
+                "carry_in_a": [int(columns[p][row_a]) for p in cins],
+                "carry_in_b": [int(columns[p][row_b]) for p in cins],
                 "value_a": int(co[port][x_idx, 0]),
                 "value_b": int(co[port][x_idx, pair]),
             }

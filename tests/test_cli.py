@@ -106,6 +106,21 @@ def test_unwritable_output_is_an_io_error(run_cli):
     assert "io error" in err
 
 
+@pytest.mark.parametrize(
+    "exc", [MemoryError("cannot allocate 80.0 TiB"), RuntimeError("boom")]
+)
+def test_unexpected_exception_is_an_internal_error(run_cli, monkeypatch, exc):
+    # Raised by a stub: a real oversized allocation could start the OOM killer.
+    def explode(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_verify", explode)
+    code, out, err = run_cli("verify", "sorter2")
+    assert code == 4
+    assert out == ""
+    assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
 def test_argparse_usage_errors_exit_2(run_cli):
     assert run_cli("build")[0] == 2
     assert run_cli("frobnicate")[0] == 2

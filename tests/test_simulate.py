@@ -1,4 +1,5 @@
-"""Scalar and vectorized evaluation, enumeration order, stimulus checks."""
+"""The evaluation engine against an independent reference, constant
+folding, enumeration order, stimulus checks."""
 
 from __future__ import annotations
 
@@ -6,9 +7,20 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_export import random_circuits
 
-from gatelab.core import NetlistError
-from gatelab.generators import sfa, sorter2, traditional_fa
+from gatelab.core import ARITY, ONE, ZERO, Cell, Const, GateKind, NetlistError, new_circuit
+from gatelab.generators import (
+    REGISTRY,
+    BlockSpec,
+    build_block,
+    kogge_stone,
+    sfa,
+    sorter2,
+    traditional_fa,
+)
 from gatelab.simulate import (
     SimulationError,
     evaluate,
@@ -17,6 +29,97 @@ from gatelab.simulate import (
     iter_exhaustive,
     vector_at,
 )
+
+# ---------------------------------------------------------------------------
+# reference evaluator: the gate basis by its own truth tables, one vector at
+# a time, independent of gatelab.core.GATE_FN
+# ---------------------------------------------------------------------------
+
+# Output bit for the input rows 00, 01, 10, 11 (0, 1 for the inverter).
+TRUTH = {"AND2": "0001", "OR2": "0111", "NAND2": "1110", "NOR2": "1000", "INV": "10"}
+
+
+def reference(cells, values):
+    """Net values after running ``cells`` in order from ``values`` (net ->
+    bit); a ZERO/ONE cell input reads its value."""
+    values = dict(values)
+    for cell in cells:
+        bits = [r.value if isinstance(r, Const) else values[r] for r in cell.ins]
+        values[cell.out] = int(TRUTH[cell.kind.name][int("".join(map(str, bits)), 2)])
+    return values
+
+
+def reference_outputs(circuit, vector):
+    values = reference(circuit.cells, {i: vector[p] for i, p in enumerate(circuit.inputs)})
+    return {p: values[net] for p, net in zip(circuit.outputs, circuit.output_nets)}
+
+
+def sample_rows(circuit, limit=512):
+    """Every input vector when there are at most ``limit``, else ``limit``
+    seeded random ones."""
+    n = len(circuit.inputs)
+    if 1 << n <= limit:
+        return np.stack(exhaustive_columns(n, 0, 1 << n), axis=1)
+    return np.random.default_rng(n).integers(0, 2, size=(limit, n), dtype=np.uint8)
+
+
+def assert_engine_matches_reference(circuit):
+    rows = sample_rows(circuit)
+    batch = evaluate_batch(circuit, dict(zip(circuit.inputs, rows.T)))
+    for k, row in enumerate(rows.tolist()):
+        want = reference_outputs(circuit, dict(zip(circuit.inputs, row)))
+        assert {p: int(batch[p][k]) for p in circuit.outputs} == want, row
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_engine_matches_reference_on_registry_blocks(name):
+    assert_engine_matches_reference(build_block(BlockSpec(name)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_circuits())
+def test_engine_matches_reference_on_random_circuits(circuit):
+    assert_engine_matches_reference(circuit)
+
+
+@st.composite
+def tied_recipes(draw):
+    """(n, cells): unfolded gates over inputs 0..n-1 and the ZERO/ONE
+    tie-offs; each cell's output net is the next free id."""
+    n = draw(st.integers(1, 3))
+    refs = [ZERO, ONE, *range(n)]
+    cells = []
+    for out in range(n, n + draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(sorted(GateKind, key=lambda k: k.name)))
+        ins = tuple(draw(st.sampled_from(refs)) for _ in range(ARITY[kind]))
+        cells.append(Cell(kind, ins, out))
+        refs.append(out)
+    return n, cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_recipes())
+def test_folding_keeps_every_gate_function(recipe):
+    n, cells = recipe
+    inputs = [f"in{i}" for i in range(n)]
+    b = new_circuit("tied", inputs)
+    built = {i: b.input(port) for i, port in enumerate(inputs)}
+    for cell in cells:
+        ins = [r if isinstance(r, Const) else built[r] for r in cell.ins]
+        built[cell.out] = b.add_gate(cell.kind, *ins)
+    # A net that folded to a constant cannot be an output; check its value.
+    live = {f"o{c.out}": c.out for c in cells if not isinstance(built[c.out], Const)}
+    for port, net in live.items():
+        b.set_output(port, built[net])
+    circuit = b.seal() if live else None
+    for bits in itertools.product((0, 1), repeat=n):
+        want = reference(cells, dict(enumerate(bits)))
+        for cell in cells:
+            if isinstance(built[cell.out], Const):
+                assert built[cell.out].value == want[cell.out], (cell, bits)
+        if circuit is not None:
+            got = evaluate(circuit, dict(zip(inputs, bits)))
+            assert got == {port: want[net] for port, net in live.items()}, bits
 
 
 def test_scalar_and_batch_agree():
@@ -55,6 +158,10 @@ def test_stimulus_must_match_inputs_exactly():
         evaluate(c, {"In1": 0, "In2": 0, "In3": 0})
     with pytest.raises(SimulationError):
         evaluate(c, {"In1": 0, "In2": 2})
+    with pytest.raises(SimulationError):
+        evaluate(c, {"In1": "1", "In2": 0})
+    with pytest.raises(SimulationError):
+        evaluate(c, {"In1": -1, "In2": 0})
 
 
 def test_batch_rejects_ragged_or_non_bit_columns():
@@ -69,6 +176,26 @@ def test_batch_rejects_ragged_or_non_bit_columns():
             c,
             {"In1": np.array([0, 2], np.uint8), "In2": np.zeros(2, np.uint8)},
         )
+    zeros = np.zeros(2, np.uint8)
+    for bad in (
+        np.array([256, 0], np.int16),  # wraps to 0 in a uint8 cast
+        np.array([0.5, 0.0]),  # truncates to 0
+        np.array(["1", "0"]),
+        np.zeros((2, 1), np.uint8),
+        [-1, 0],
+    ):
+        with pytest.raises(SimulationError):
+            evaluate_batch(c, {"In1": bad, "In2": zeros})
+
+
+def test_batch_accepts_0_1_columns_of_any_numeric_type():
+    c = sorter2()
+    want = {"Out1": [0, 1, 1, 1], "Out2": [0, 0, 0, 1]}
+    for make in (list, lambda v: np.array(v, bool), lambda v: np.array(v, np.int64),
+                 lambda v: np.array(v, float)):
+        got = evaluate_batch(c, {"In1": make([0, 0, 1, 1]), "In2": make([0, 1, 0, 1])})
+        assert {p: col.tolist() for p, col in got.items()} == want
+        assert all(col.dtype == np.uint8 for col in got.values())
 
 
 def test_enumeration_is_lexicographic_first_input_most_significant():
@@ -88,6 +215,21 @@ def test_exhaustive_chunks_cover_the_space_in_order():
     assert offsets == [0, 4, 8, 12]
     whole = np.concatenate(seen).tolist()
     assert whole == [list(b) for b in itertools.product((0, 1), repeat=4)]
+
+
+def test_vector_at_is_a_row_of_the_enumeration():
+    c = kogge_stone(width=3)
+    n = len(c.inputs)
+    for index in range(1 << n):
+        row = exhaustive_columns(n, index, index + 1)
+        assert vector_at(c, index) == {p: int(col[0]) for p, col in zip(c.inputs, row)}
+
+
+def test_vector_at_is_exact_past_64_inputs():
+    c = kogge_stone(width=40)  # 81 inputs
+    n = len(c.inputs)
+    vec = vector_at(c, (1 << (n - 1)) + 2)
+    assert [vec[p] for p in c.inputs] == [1] + [0] * (n - 3) + [1, 0]
 
 
 def test_vector_at_bounds():

@@ -143,6 +143,16 @@ def test_area_counts_inverters_separately():
     assert (rep.basic, rep.inverters) == (11, 2)
 
 
+def test_stage_counts_are_ints_and_kinds_keep_their_order():
+    # DOT stamps "@<arrival>" and JSON reports print these numbers.
+    c = adjusted_fa()
+    amap = arrivals(c, input_arrivals={"C": 2})
+    assert all(type(at) is int for at in amap.net_arrival)
+    paths = [path_depth(c, i, o) for i in c.inputs for o in c.outputs]
+    assert all(type(d) is int for d in paths)
+    assert list(area(c).counts) == ["AND2", "OR2", "NAND2", "NOR2", "INV"]
+
+
 def test_compare_two_compressors():
     report = compare([compressor72_proposed(), compressor72_cascade()])
     doc = report.to_dict()
