@@ -239,15 +239,14 @@ class CircuitBuilder:
             raise BuildError(f"bad circuit name {name!r}")
         if not inputs:
             raise BuildError("a circuit needs at least one input")
-        seen: set[str] = set()
+        self._inputs: dict[str, int] = {}  # port -> net id, in declared order
         for port in inputs:
             if not isinstance(port, str) or not _NAME_RE.match(port) or "/" in port:
                 raise BuildError(f"bad input name {port!r}")
-            if port in seen:
+            if port in self._inputs:
                 raise BuildError(f"duplicate input name {port!r}")
-            seen.add(port)
+            self._inputs[port] = len(self._inputs)
         self.name = name
-        self._input_names = tuple(inputs)
         self._net_names: list[str] = list(inputs)
         self._used_names: set[str] = set(inputs)
         self._cells: list[Cell] = []
@@ -280,8 +279,8 @@ class CircuitBuilder:
     def input(self, port: str) -> int:
         """Net id of an input port."""
         try:
-            return self._input_names.index(port)
-        except ValueError:
+            return self._inputs[port]
+        except (KeyError, TypeError):
             raise BuildError(f"{self.name}: no input named {port!r}") from None
 
     # ---------------- gates ----------------
@@ -417,7 +416,7 @@ class CircuitBuilder:
         self._alive()
         if not _NAME_RE.match(port) or "/" in port:
             raise BuildError(f"bad output name {port!r}")
-        if port in self._outputs or port in self._input_names:
+        if port in self._outputs or port in self._inputs:
             raise BuildError(f"port name {port!r} already in use")
         if isinstance(ref, Const):
             raise BuildError(
@@ -434,7 +433,7 @@ class CircuitBuilder:
             raise BuildError(f"{self.name}: no outputs set")
         circuit = Circuit(
             name=self.name,
-            inputs=self._input_names,
+            inputs=tuple(self._inputs),
             outputs=tuple(self._outputs),
             output_nets=tuple(self._outputs.values()),
             cells=tuple(self._cells),

@@ -197,9 +197,9 @@ def compressor72_proposed(middle_pick: str = "first") -> Circuit:
 
     Weighted contract over the nine weight-1 inputs:
     Sum + 2·Carry + 2·Co1 + 4·Co2 = x1..x7 + Ci1 + Ci2, with Co1/Co2
-    functions of x1..x7 only.  The carry-in pair rides the late select
-    input of the final adjusted adder, keeping every output within 11
-    stages of the inputs.
+    functions of x1..x7 only.  The carry-in pair rides the A/B ports of
+    the final adjusted adder and mid.Sum its late select input C, so
+    every output settles within 10 stages of the inputs.
     """
     b = new_circuit("compressor72_proposed", list(COMPRESSOR_INPUTS))
     x = {i: b.input(f"x{i}") for i in range(1, 8)}
@@ -272,6 +272,8 @@ _COMPRESSORS: dict[str, Callable[..., Circuit]] = {
 
 
 def _resolve_compressor(compressor: Any, middle_pick: str) -> Circuit:
+    if middle_pick not in MIDDLE_PICKS:
+        raise ParameterError(f"middle_pick must be one of {MIDDLE_PICKS}")
     if compressor is None:
         compressor = "compressor72_proposed"
     if isinstance(compressor, Circuit):
@@ -288,6 +290,27 @@ def _resolve_compressor(compressor: Any, middle_pick: str) -> Circuit:
 # ---------------------------------------------------------------------------
 # array harness
 # ---------------------------------------------------------------------------
+
+def _array(
+    name: str, cols: int, compressor: Any, middle_pick: str, prefix: str = ""
+) -> tuple[CircuitBuilder, list[NetRef], list[NetRef]]:
+    """Open a builder over the ``bit_<r>_<c>`` inputs and wire one
+    compressor per column as instance ``<prefix>col<c>``.  Returns the
+    builder, the sum row and the carry row, constants kept."""
+    if not isinstance(cols, int) or isinstance(cols, bool) or cols < 1:
+        raise ParameterError("cols must be a positive integer")
+    comp = _resolve_compressor(compressor, middle_pick)
+    b = new_circuit(name, [f"bit_{r}_{c}" for r in range(7) for c in range(cols)])
+
+    outs: list[dict[str, NetRef]] = []
+    for c in range(cols + 2):
+        bits = [b.input(f"bit_{r}_{c}") if c < cols else ZERO for r in range(7)]
+        ci1 = outs[c - 1]["Co1"] if c >= 1 else ZERO
+        ci2 = outs[c - 2]["Co2"] if c >= 2 else ZERO
+        bind = dict(zip(COMPRESSOR_INPUTS, bits + [ci1, ci2]))
+        outs.append(b.instantiate(comp, bind, name=f"{prefix}col{c}"))
+    return b, [o["Sum"] for o in outs], [o["Carry"] for o in outs]
+
 
 def array_reducer(
     rows: int = 7,
@@ -307,29 +330,7 @@ def array_reducer(
     """
     if rows != 7:
         raise ParameterError("rows must be 7")
-    if not isinstance(cols, int) or isinstance(cols, bool) or cols < 1:
-        raise ParameterError("cols must be a positive integer")
-    comp = _resolve_compressor(compressor, middle_pick)
-
-    names = [f"bit_{r}_{c}" for r in range(rows) for c in range(cols)]
-    b = new_circuit("array_reducer", names)
-
-    co1: dict[int, NetRef] = {}
-    co2: dict[int, NetRef] = {}
-    sums: list[NetRef] = []
-    carries: list[NetRef] = []
-    for c in range(cols + 2):
-        bind: dict[str, NetRef] = {}
-        for r in range(rows):
-            bind[f"x{r + 1}"] = b.input(f"bit_{r}_{c}") if c < cols else ZERO
-        bind["Ci1"] = co1.get(c - 1, ZERO)
-        bind["Ci2"] = co2.get(c - 2, ZERO)
-        out = b.instantiate(comp, bind, name=f"col{c}")
-        sums.append(out["Sum"])
-        carries.append(out["Carry"])
-        co1[c] = out["Co1"]
-        co2[c] = out["Co2"]
-
+    b, sums, carries = _array("array_reducer", cols, compressor, middle_pick)
     for c, ref in enumerate(sums):
         b.set_output(f"s{c}", ref)
     for c, ref in enumerate(carries):
@@ -346,22 +347,18 @@ def pipeline(
 ) -> Circuit:
     """Array reducer followed by a Kogge-Stone merge of the two rows.
 
+    The reducer's columns are wired in place as ``reduce/col<c>``.
     The row total is at most 7·(2^cols - 1), so a cols+3 bit adder
     never overflows and its carry-out is structurally zero.  Outputs
     are the live sum bits ``s0..``; bits that fold to constant zero
     (the carry-out always, the top bit when cols = 1) have no port.
     """
-    if not isinstance(cols, int) or isinstance(cols, bool) or cols < 1:
-        raise ParameterError("cols must be a positive integer")
-    red = array_reducer(7, cols, compressor, middle_pick)
+    b, sums, carries = _array("pipeline", cols, compressor, middle_pick, "reduce/")
     width = cols + 3
-
-    b = new_circuit("pipeline", list(red.inputs))
-    rows = b.instantiate(red, {p: b.input(p) for p in red.inputs}, name="reduce")
     bind: dict[str, NetRef] = {"cin": ZERO}
     for i in range(width):
-        bind[f"a{i}"] = rows.get(f"s{i}", ZERO)
-        bind[f"b{i}"] = rows.get(f"y{i - 1}", ZERO) if i >= 1 else ZERO
+        bind[f"a{i}"] = sums[i] if i < len(sums) else ZERO
+        bind[f"b{i}"] = carries[i - 1] if i >= 1 else ZERO
     adder = b.instantiate(kogge_stone(width), bind, name="merge")
     for i in range(width):
         if not isinstance(adder[f"s{i}"], Const):

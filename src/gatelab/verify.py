@@ -308,13 +308,9 @@ def structured_rows(circuit: Circuit) -> np.ndarray:
     rows = [np.zeros(n, np.uint8), np.ones(n, np.uint8)]
     rows.extend(np.eye(n, dtype=np.uint8))
     if all(p.startswith("bit_") for p in circuit.inputs):
-        cols = sorted({int(p.rsplit("_", 1)[1]) for p in circuit.inputs})
-        for c in cols:
-            row = np.array(
-                [1 if p.endswith(f"_{c}") else 0 for p in circuit.inputs],
-                np.uint8,
-            )
-            rows.append(row)
+        column = list(_COLUMN(circuit.inputs).values())
+        for c in sorted(set(column)):
+            rows.append(np.array([k == c for k in column], np.uint8))
     return np.stack(rows)
 
 

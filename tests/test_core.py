@@ -65,6 +65,21 @@ def test_input_names_validated():
         new_circuit("t", ["1bad"])
 
 
+def test_input_port_errors_name_the_port():
+    with pytest.raises(BuildError, match="duplicate input name 'a'"):
+        new_circuit("t", ["a", "b", "a"])
+    b = new_circuit("t", ["a", "b"])
+    assert (b.input("a"), b.input("b")) == (0, 1)
+    with pytest.raises(BuildError, match="t: no input named 'c'"):
+        b.input("c")
+    with pytest.raises(BuildError, match="no input named"):
+        b.input(["a"])
+    with pytest.raises(BuildError, match="port name 'b' already in use"):
+        b.set_output("b", b.input("a"))
+    b.set_output("o", b.and_(b.input("a"), b.input("b")))
+    assert b.seal().inputs == ("a", "b")
+
+
 def test_explicit_name_collisions_deduped():
     b, a, y = build_pair()
     b.and_(a, y, name="n")

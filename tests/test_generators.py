@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from gatelab.core import Circuit, GateKind
+from gatelab.core import ZERO, Circuit, GateKind
 from gatelab.generators import (
     MIDDLE_PICKS,
     REGISTRY,
@@ -289,6 +289,48 @@ def test_pipeline_accepts_circuit_compressor():
 def test_pipeline_rejects_unknown_compressor():
     with pytest.raises(ParameterError):
         pipeline(compressor="ripple")
+
+
+@pytest.mark.parametrize("factory", [array_reducer, pipeline])
+@pytest.mark.parametrize(
+    "compressor", [None, "compressor72_cascade", compressor72_cascade()]
+)
+def test_arrays_reject_unknown_middle_pick_for_every_compressor(factory, compressor):
+    # the cascade ignores middle_pick, but a bad value is still an error
+    with pytest.raises(ParameterError, match="middle_pick"):
+        factory(cols=2, compressor=compressor, middle_pick="bogus")
+
+
+@pytest.mark.parametrize(
+    "compressor", ["compressor72_proposed", "compressor72_cascade"]
+)
+@pytest.mark.parametrize("cols", [1, 2, 8])
+def test_pipeline_wires_the_array_reducer_in_place(cols, compressor):
+    red = array_reducer(cols=cols, compressor=compressor)
+    pipe = pipeline(cols=cols, compressor=compressor)
+    assert pipe.inputs == red.inputs
+    assert len(pipe.cells) > len(red.cells)
+
+    def in_pipe(net: int) -> str:  # a reducer net's name inside the pipeline
+        name = red.net_names[net]
+        return name if net < len(red.inputs) else f"reduce/{name}"
+
+    for ours, theirs in zip(pipe.cells, red.cells):
+        assert ours.kind == theirs.kind
+        assert [pipe.net_names[n] for n in ours.ins] == [in_pipe(n) for n in theirs.ins]
+        assert pipe.net_names[ours.out] == in_pipe(theirs.out)
+
+    merge = dict(pipe.instances[-1].inputs)
+    assert pipe.instances[-1].name == "merge" and merge["cin"] is ZERO
+    for i in range(cols + 3):
+        for port, row in ((f"a{i}", f"s{i}"), (f"b{i}", f"y{i - 1}")):
+            if row in red.outputs:
+                assert pipe.net_names[merge[port]] == in_pipe(red.output_net(row))
+            else:
+                assert merge[port] is ZERO
+
+    columns = [f"reduce/col{c}" for c in range(cols + 2)]
+    assert [inst.name for inst in pipe.instances] == columns + ["merge"]
 
 
 # ---------------------------------------------------------------------------

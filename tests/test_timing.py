@@ -9,9 +9,11 @@ import pytest
 from gatelab.core import NetlistError, new_circuit
 from gatelab.generators import (
     adjusted_fa,
+    array_reducer,
     compressor72_cascade,
     compressor72_proposed,
     half_sorter4,
+    pipeline,
     sfa,
     sorter2,
     sorting_network4,
@@ -60,6 +62,29 @@ def test_inverters_cost_one_stage_when_asked():
     assert arrivals(sfa(), INV1).output("Sum") == 5
     assert arrivals(traditional_fa(), INV1).output("Sum") == 6
     assert arrivals(sfa(), INV1).output("Carry") == 2
+
+
+# The paper's 7-row array under unit stages.  Each entry is the depth with
+# inverters free, the depth with inverters counted, and the cell count.
+# From 3 columns on the two compressors tie in depth; the sorting-network
+# array keeps the fewer cells.
+ARRAY_TABLE = {
+    (array_reducer, 1): {"proposed": (9, 12, 47), "cascade": (10, 12, 52)},
+    (array_reducer, 2): {"proposed": (11, 15, 101), "cascade": (12, 15, 114)},
+    (array_reducer, 3): {"proposed": (13, 18, 156), "cascade": (13, 18, 179)},
+    (array_reducer, 8): {"proposed": (13, 18, 431), "cascade": (13, 18, 504)},
+    (pipeline, 8): {"proposed": (22, 29, 558), "cascade": (22, 29, 631)},
+}
+
+
+@pytest.mark.parametrize(
+    "factory, cols, compressor",
+    [(f, cols, comp) for f, cols in ARRAY_TABLE for comp in ("proposed", "cascade")],
+)
+def test_array_depths_and_cells(factory, cols, compressor):
+    c = factory(cols=cols, compressor=f"compressor72_{compressor}")
+    measured = (depth(c), depth(c, INV1), len(c.cells))
+    assert measured == ARRAY_TABLE[factory, cols][compressor]
 
 
 def test_stage_model_validation():
