@@ -2,8 +2,9 @@
 
 Machine-readable JSON goes to stdout (or --out); human-readable
 status and tables go to stderr.  Exit codes: 0 success or pass, 1
-verification failure, 2 usage or parameter error, 3 I/O error, 4
-internal error (any other exception, such as running out of memory,
+verification failure, 2 usage or parameter error (a random stimulus
+too large for the host's memory included), 3 I/O error, 4 internal
+error (any other exception, such as running out of memory,
 reported as one line on stderr).
 
 Identical invocations produce byte-identical JSON, so reports can be

@@ -313,7 +313,6 @@ def _array(
 
 
 def array_reducer(
-    rows: int = 7,
     cols: int = 8,
     compressor: Any = None,
     middle_pick: str = "first",
@@ -328,8 +327,6 @@ def array_reducer(
     at weights 2^c and carry row ``y1..y<cols>`` at weights 2^(c+1);
     column 0's carry is identically zero and has no port.
     """
-    if rows != 7:
-        raise ParameterError("rows must be 7")
     b, sums, carries = _array("array_reducer", cols, compressor, middle_pick)
     for c, ref in enumerate(sums):
         b.set_output(f"s{c}", ref)
@@ -450,7 +447,6 @@ REGISTRY: dict[str, GeneratorInfo] = {
     "array_reducer": GeneratorInfo(
         array_reducer,
         {
-            "rows": ParamSpec(int, help="array rows"),
             "cols": _COLS,
             "compressor": _COMP,
             "middle_pick": _PICK,

@@ -20,6 +20,7 @@ tuple, because enumeration order is lexicographic (see simulate).
 from __future__ import annotations
 
 import json
+import os
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -301,17 +302,47 @@ def verify_exhaustive(
     )
 
 
+def _array_columns(circuit: Circuit) -> list[int]:
+    """The column c of each input of an array-shaped block
+    (``bit_<r>_<c>`` inputs) in port order; empty for any other block."""
+    if not all(p.startswith("bit_") for p in circuit.inputs):
+        return []
+    return list(_COLUMN(circuit.inputs).values())
+
+
 def structured_rows(circuit: Circuit) -> np.ndarray:
     """All-zeros, all-ones, the one-hot walk, and for array-shaped
     blocks (``bit_<r>_<c>`` inputs) each fully saturated column."""
     n = len(circuit.inputs)
     rows = [np.zeros(n, np.uint8), np.ones(n, np.uint8)]
     rows.extend(np.eye(n, dtype=np.uint8))
-    if all(p.startswith("bit_") for p in circuit.inputs):
-        column = list(_COLUMN(circuit.inputs).values())
-        for c in sorted(set(column)):
-            rows.append(np.array([k == c for k in column], np.uint8))
+    column = _array_columns(circuit)
+    for c in sorted(set(column)):
+        rows.append(np.array([k == c for k in column], np.uint8))
     return np.stack(rows)
+
+
+# Random rows are drawn this many at a time and transposed into the
+# stimulus.  numpy fills uint8 draws from 32-bit words, four values per
+# word, and drops a call's leftover values, so the blocks continue the
+# stream of one (count, n) draw only when each holds a multiple of 4
+# values: keep this a multiple of 4.
+RANDOM_BLOCK_ROWS = 4096
+
+
+def _stimulus_buffer(circuit: Circuit, vectors: int) -> np.ndarray:
+    """An uninitialised (inputs, vectors) uint8 buffer, refused with a
+    ``NetlistError`` when it would not fit in the host's memory."""
+    n = len(circuit.inputs)
+    size = n * vectors
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    need = f"{circuit.name}: {vectors:,} vectors x {n} inputs need {size:,} bytes"
+    if size > physical:
+        raise NetlistError(f"{need}, more than the host's {physical:,} bytes of memory")
+    try:
+        return np.empty((n, vectors), np.uint8)
+    except MemoryError:
+        raise NetlistError(f"{need}, which could not be allocated") from None
 
 
 def verify_random(
@@ -321,34 +352,47 @@ def verify_random(
     count: int = 1000,
     structured: bool = True,
 ) -> VerificationReport:
-    """Structured suite plus ``count`` seeded random vectors."""
+    """Structured suite plus ``count`` seeded random vectors.
+
+    The vectors are the structured suite's rows, then the rows of the
+    single draw ``default_rng(seed).integers(0, 2, (count, n), np.uint8)``.
+    The stimulus is held column-major: one (n, vectors) uint8 buffer,
+    allocated once, whose rows the engine and the oracle read as
+    contiguous input columns.  Random rows are drawn in blocks and
+    written transposed, so no row-major copy of the whole draw exists.
+    A stimulus larger than the host's physical memory is refused with a
+    ``NetlistError`` before anything is allocated, as is one whose
+    allocation fails.
+    """
     if count < 0:
         raise NetlistError("count must be >= 0")
     if seed < 0:
         raise NetlistError("seed must be >= 0")
     orc = resolve_oracle(circuit, oracle)
     n = len(circuit.inputs)
-    parts = []
+    n_structured = 2 + n + len(set(_array_columns(circuit))) if structured else 0
+    stimulus = _stimulus_buffer(circuit, n_structured + count)
     if structured:
-        parts.append(structured_rows(circuit))
+        stimulus[:, :n_structured] = structured_rows(circuit).T
     rng = np.random.default_rng(seed)
-    if count:
-        parts.append(rng.integers(0, 2, size=(count, n), dtype=np.uint8))
-    matrix = np.concatenate(parts) if parts else np.zeros((0, n), np.uint8)
-    columns = {port: matrix[:, i] for i, port in enumerate(circuit.inputs)}
+    drawn = stimulus[:, n_structured:]
+    for start in range(0, count, RANDOM_BLOCK_ROWS):
+        rows = min(RANDOM_BLOCK_ROWS, count - start)
+        block = rng.integers(0, 2, size=(rows, n), dtype=np.uint8)
+        drawn[:, start : start + rows] = block.T
+    columns = dict(zip(circuit.inputs, stimulus))
     outs = evaluate_batch(circuit, columns)
     ok = orc.check(columns, outs)
     failure = None
     if not bool(np.all(ok)):
         local = int(np.argmin(ok))
         failure = _counterexample(circuit, orc, columns, outs, local, local)
-    n_structured = len(parts[0]) if structured else 0
     return VerificationReport(
         block=circuit.name,
         oracle=orc.name,
         mode="random",
         inputs=n,
-        vectors_tried=len(matrix),
+        vectors_tried=stimulus.shape[1],
         status="pass" if failure is None else "fail",
         counterexample=failure,
         prng=PRNG_NAME,

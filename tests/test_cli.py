@@ -125,6 +125,7 @@ def test_argparse_usage_errors_exit_2(run_cli):
     assert run_cli("build")[0] == 2
     assert run_cli("frobnicate")[0] == 2
     assert run_cli("build", "sorter2", "--format", "svg")[0] == 2
+    assert run_cli("build", "array_reducer", "--rows", "7")[0] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +160,16 @@ def test_verify_random_mode(run_cli):
     assert doc["mode"] == "random"
     assert doc["seed"] == 1
     assert doc["status"] == "pass"
+
+
+def test_verify_oversized_random_run_is_refused(run_cli):
+    code, out, err = run_cli(
+        "verify", "sorter2", "--random", "--count", "10000000000000"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: sorter2: 10,000,000,000,004 vectors x 2 inputs")
+    assert "20,000,000,000,008 bytes" in err
 
 
 def test_verify_wide_adder_is_exact(run_cli):

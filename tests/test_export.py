@@ -51,7 +51,7 @@ def assert_equivalent(c1: Circuit, c2: Circuit, seed: int = 0) -> None:
     else:
         rng = np.random.default_rng(seed)
         m = rng.integers(0, 2, size=(1000, n), dtype=np.uint8)
-        mat = {p: m[:, i] for i, p in enumerate(c1.inputs)}
+        mat = dict(zip(c1.inputs, np.ascontiguousarray(m.T)))
     o1 = evaluate_batch(c1, mat)
     o2 = evaluate_batch(c2, mat)
     assert o1.keys() == o2.keys()

@@ -252,8 +252,8 @@ def test_array_reducer_shape():
 
 
 def test_array_reducer_rows_locked():
-    with pytest.raises(ParameterError):
-        array_reducer(rows=8)
+    with pytest.raises(TypeError):
+        array_reducer(rows=7)
     with pytest.raises(ParameterError):
         array_reducer(cols=0)
 

@@ -8,12 +8,14 @@ import json
 import numpy as np
 import pytest
 
+from gatelab import verify
 from gatelab.core import GateKind, NetlistError, new_circuit
 from gatelab.generators import REGISTRY, BlockSpec, build_block
 from gatelab.simulate import evaluate_batch, iter_exhaustive
 from gatelab.verify import (
     EXHAUSTIVE_INPUT_BOUND,
     ORACLES,
+    RANDOM_BLOCK_ROWS,
     ExhaustiveBoundError,
     resolve_oracle,
     structured_rows,
@@ -152,6 +154,92 @@ def test_structured_suite_catches_an_all_ones_bug_without_randomness():
     assert report.status == "fail"
     assert report.counterexample["index"] == 1
     assert report.counterexample["vector"] == {"A": 1, "B": 1, "C": 1}
+
+
+def engine_stimulus(monkeypatch, circuit, **kwargs):
+    """The input columns ``verify_random`` hands to the engine."""
+    seen = []
+
+    def recording(circuit, columns):
+        seen.append(columns)
+        return evaluate_batch(circuit, columns)
+
+    monkeypatch.setattr(verify, "evaluate_batch", recording)
+    verify_random(circuit, **kwargs)
+    (columns,) = seen
+    return columns
+
+
+# odd input counts included: numpy draws uint8 four to a 32-bit word
+_STIMULUS_BLOCKS = (
+    BlockSpec("traditional_fa"),
+    BlockSpec("compressor72_proposed"),
+    BlockSpec("array_reducer", {"cols": 1}),
+)
+
+
+@pytest.mark.parametrize("structured", (True, False))
+@pytest.mark.parametrize("count", (0, 1, RANDOM_BLOCK_ROWS + 1))
+@pytest.mark.parametrize("spec", _STIMULUS_BLOCKS, ids=BlockSpec.label)
+def test_random_stimulus_is_structured_rows_then_one_draw(
+    monkeypatch, spec, count, structured
+):
+    circuit = build_block(spec)
+    n = len(circuit.inputs)
+    columns = engine_stimulus(
+        monkeypatch, circuit, seed=7, count=count, structured=structured
+    )
+    assert list(columns) == list(circuit.inputs)
+    draw = np.random.default_rng(7).integers(0, 2, size=(count, n), dtype=np.uint8)
+    expected = np.concatenate([structured_rows(circuit)] * structured + [draw])
+    assert np.array_equal(np.stack(list(columns.values()), axis=1), expected)
+    # contiguous uint8 columns, which the engine reads without gathering
+    for port, col in columns.items():
+        assert col.dtype == np.uint8 and col.flags.c_contiguous, port
+
+
+def test_random_counterexample_past_the_first_block_is_pinned():
+    # The group propagate p5_25 = p4_25 & p4_9 turned into an OR: the
+    # top sum bits go wrong only on long carry chains, first met at
+    # random row 6910 of seed 0, past the first block of draws.
+    adder = build_block(BlockSpec("kogge_stone", {"width": 32}))
+    broken = with_kind(adder, "p5_25", GateKind.OR2)
+    vector = np.random.default_rng(0).integers(
+        0, 2, size=(6911, len(adder.inputs)), dtype=np.uint8
+    )[6910]
+    for structured, index in ((True, 67 + 6910), (False, 6910)):
+        report = verify_random(broken, seed=0, count=8000, structured=structured)
+        assert index > report.structured_count + RANDOM_BLOCK_ROWS
+        assert report.status == "fail"
+        assert report.vectors_tried == report.structured_count + 8000
+        assert report.counterexample == {
+            "index": index,
+            "vector": dict(zip(adder.inputs, vector.tolist())),
+            "expected": {"a + b + cin": 3473568768},
+            "actual": {"s + 2^w*cout": 3406459904},
+        }
+
+
+def test_oversized_stimulus_is_refused_before_allocation(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before refusing")
+
+    monkeypatch.setattr(np, "empty", no_allocation)
+    c = build_block(BlockSpec("sorter2"))
+    # 4 structured + 10^13 random vectors x 2 inputs, far past any host
+    with pytest.raises(NetlistError, match="20,000,000,000,008 bytes"):
+        verify_random(c, count=10**13)
+
+
+def test_failed_stimulus_allocation_is_refused(monkeypatch):
+    # Raised by a stub: a real oversized allocation could start the OOM killer.
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "empty", out_of_memory)
+    c = build_block(BlockSpec("sorter2"))
+    with pytest.raises(NetlistError, match="2,000,008 bytes, which could not"):
+        verify_random(c, count=10**6)
 
 
 def test_random_count_validation():
