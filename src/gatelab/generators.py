@@ -189,7 +189,6 @@ def kogge_stone(width: int = 8) -> Circuit:
 # ---------------------------------------------------------------------------
 
 COMPRESSOR_INPUTS = tuple(f"x{i}" for i in range(1, 8)) + ("Ci1", "Ci2")
-COMPRESSOR_OUTPUTS = ("Sum", "Carry", "Co1", "Co2")
 
 
 def compressor72_proposed(middle_pick: str = "first") -> Circuit:
@@ -271,17 +270,11 @@ _COMPRESSORS: dict[str, Callable[..., Circuit]] = {
 }
 
 
-def _resolve_compressor(compressor: Any, middle_pick: str) -> Circuit:
+def _resolve_compressor(compressor: str, middle_pick: str) -> Circuit:
     if middle_pick not in MIDDLE_PICKS:
         raise ParameterError(f"middle_pick must be one of {MIDDLE_PICKS}")
-    if compressor is None:
-        compressor = "compressor72_proposed"
-    if isinstance(compressor, Circuit):
-        return compressor
-    if compressor not in _COMPRESSORS:
-        raise ParameterError(
-            f"compressor must be one of {sorted(_COMPRESSORS)} or a Circuit"
-        )
+    if not isinstance(compressor, str) or compressor not in _COMPRESSORS:
+        raise ParameterError(f"compressor must be one of {sorted(_COMPRESSORS)}")
     if compressor == "compressor72_proposed":
         return compressor72_proposed(middle_pick)
     return _COMPRESSORS[compressor]()
@@ -292,7 +285,7 @@ def _resolve_compressor(compressor: Any, middle_pick: str) -> Circuit:
 # ---------------------------------------------------------------------------
 
 def _array(
-    name: str, cols: int, compressor: Any, middle_pick: str, prefix: str = ""
+    name: str, cols: int, compressor: str, middle_pick: str, prefix: str = ""
 ) -> tuple[CircuitBuilder, list[NetRef], list[NetRef]]:
     """Open a builder over the ``bit_<r>_<c>`` inputs and wire one
     compressor per column as instance ``<prefix>col<c>``.  Returns the
@@ -314,7 +307,7 @@ def _array(
 
 def array_reducer(
     cols: int = 8,
-    compressor: Any = None,
+    compressor: str = "compressor72_proposed",
     middle_pick: str = "first",
 ) -> Circuit:
     """Compress a 7-row binary array into two rows, one compressor per column.
@@ -339,7 +332,7 @@ def array_reducer(
 
 def pipeline(
     cols: int = 8,
-    compressor: Any = None,
+    compressor: str = "compressor72_proposed",
     middle_pick: str = "first",
 ) -> Circuit:
     """Array reducer followed by a Kogge-Stone merge of the two rows.
@@ -383,8 +376,7 @@ class ParamSpec:
 class GeneratorInfo:
     factory: Callable[..., Circuit]
     params: Mapping[str, ParamSpec]
-    oracle: str | None
-    summary: str
+    oracle: str
 
 
 @dataclass(frozen=True)
@@ -410,39 +402,18 @@ _COMP = ParamSpec(
 _COLS = ParamSpec(int, help="array columns")
 
 REGISTRY: dict[str, GeneratorInfo] = {
-    "sorter2": GeneratorInfo(sorter2, {}, "sorter", "1-bit compare-exchange"),
-    "half_sorter4": GeneratorInfo(
-        half_sorter4, {}, "half_sorter", "two compare-exchange layers over 4 bits"
-    ),
-    "sorting_network4": GeneratorInfo(
-        sorting_network4, {}, "sorter", "full 4-bit sorting network"
-    ),
-    "sfa": GeneratorInfo(
-        sfa, {"middle_pick": _PICK}, "sfa", "sorted-carry adder over 4 bits"
-    ),
-    "traditional_fa": GeneratorInfo(
-        traditional_fa, {}, "full_adder", "majority-carry full adder"
-    ),
-    "adjusted_fa": GeneratorInfo(
-        adjusted_fa, {}, "full_adder", "full adder with late-C tolerance"
-    ),
+    "sorter2": GeneratorInfo(sorter2, {}, "sorter"),
+    "half_sorter4": GeneratorInfo(half_sorter4, {}, "half_sorter"),
+    "sorting_network4": GeneratorInfo(sorting_network4, {}, "sorter"),
+    "sfa": GeneratorInfo(sfa, {"middle_pick": _PICK}, "sfa"),
+    "traditional_fa": GeneratorInfo(traditional_fa, {}, "full_adder"),
+    "adjusted_fa": GeneratorInfo(adjusted_fa, {}, "full_adder"),
     "compressor72_proposed": GeneratorInfo(
-        compressor72_proposed,
-        {"middle_pick": _PICK},
-        "compressor72",
-        "(7,2) compressor with sorted-carry generation",
+        compressor72_proposed, {"middle_pick": _PICK}, "compressor72"
     ),
-    "compressor72_cascade": GeneratorInfo(
-        compressor72_cascade,
-        {},
-        "compressor72",
-        "(7,2) compressor from five full adders",
-    ),
+    "compressor72_cascade": GeneratorInfo(compressor72_cascade, {}, "compressor72"),
     "kogge_stone": GeneratorInfo(
-        kogge_stone,
-        {"width": ParamSpec(int, help="adder width in bits")},
-        "adder",
-        "parallel-prefix adder",
+        kogge_stone, {"width": ParamSpec(int, help="adder width in bits")}, "adder"
     ),
     "array_reducer": GeneratorInfo(
         array_reducer,
@@ -452,7 +423,6 @@ REGISTRY: dict[str, GeneratorInfo] = {
             "middle_pick": _PICK,
         },
         "reducer",
-        "7-row array to two rows",
     ),
     "pipeline": GeneratorInfo(
         pipeline,
@@ -462,7 +432,6 @@ REGISTRY: dict[str, GeneratorInfo] = {
             "middle_pick": _PICK,
         },
         "pipeline",
-        "array reducer plus merge adder",
     ),
 }
 

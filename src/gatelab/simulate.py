@@ -14,7 +14,7 @@ lexicographic order over input tuples.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -54,18 +54,15 @@ def _stimulus(circuit: Circuit, columns: Mapping[str, object]) -> list[np.ndarra
 
 
 def evaluate_batch(
-    circuit: Circuit,
-    columns: Mapping[str, np.ndarray],
-    probe: Iterable[str] = (),
+    circuit: Circuit, columns: Mapping[str, np.ndarray]
 ) -> dict[str, np.ndarray]:
     """Evaluate many vectors at once.
 
     ``columns`` maps every input port to a 1-D array of 0/1 values;
-    all arrays must share one length.  Returns uint8 output (and
-    probed) columns of the same length.
+    all arrays must share one length.  Returns uint8 output columns of
+    the same length.
     """
-    probed = {name: circuit.net(name) for name in probe}
-    keep = {*circuit.output_nets, *probed.values()}
+    keep = set(circuit.output_nets)
     # Each net is dropped after its last reader, so only live nets hold
     # arrays and each call reuses a few of them instead of faulting in
     # nets x vectors bytes of fresh memory.
@@ -77,22 +74,15 @@ def evaluate_batch(
         for net in cell.ins:
             if last_read[net] == k and net not in keep:
                 values[net] = None
-    result = {
+    return {
         port: values[net] for port, net in zip(circuit.outputs, circuit.output_nets)
     }
-    for name, net in probed.items():
-        result[name] = values[net]
-    return result
 
 
-def evaluate(
-    circuit: Circuit,
-    vector: Mapping[str, int],
-    probe: Iterable[str] = (),
-) -> dict[str, int]:
-    """Evaluate one input vector; returns outputs (plus probed nets)."""
+def evaluate(circuit: Circuit, vector: Mapping[str, int]) -> dict[str, int]:
+    """Evaluate one input vector; returns its outputs."""
     columns = {port: [value] for port, value in vector.items()}
-    outs = evaluate_batch(circuit, columns, probe)
+    outs = evaluate_batch(circuit, columns)
     return {name: int(col[0]) for name, col in outs.items()}
 
 
@@ -107,12 +97,11 @@ def exhaustive_columns(
     ]
 
 
-def iter_exhaustive(
-    circuit: Circuit, chunk: int = 1 << 16
-) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
-    """Yield (offset, input columns) chunks covering all 2^n vectors."""
+def iter_exhaustive(circuit: Circuit) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
+    """Yield (offset, input columns) chunks of 2^16 vectors covering all
+    2^n vectors."""
     n = len(circuit.inputs)
-    total = 1 << n
+    total, chunk = 1 << n, 1 << 16
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
         cols = exhaustive_columns(n, start, stop)

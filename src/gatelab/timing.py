@@ -253,18 +253,14 @@ def compare(
     blocks = []
     for circuit in circuits:
         amap = arrivals(circuit, model)
-        rep = area(circuit)
+        cells = area(circuit).to_dict()
+        del cells["block"]  # named once, by the entry
         blocks.append(
             {
                 "block": circuit.name,
                 "depth": amap.depth,
                 "outputs": dict(amap.output_arrival),
-                "area": {
-                    "counts": rep.counts,
-                    "basic": rep.basic,
-                    "inverters": rep.inverters,
-                    "total": rep.total,
-                },
+                "area": cells,
             }
         )
     return ComparisonReport(model, blocks)

@@ -192,21 +192,13 @@ ORACLES: dict[str, Oracle] = {
 }
 
 
-def resolve_oracle(circuit: Circuit, oracle: str | Oracle | None) -> Oracle:
-    """An explicit oracle, one named in ``ORACLES``, or (for None) the
-    oracle the registry names for a block of the circuit's name."""
-    if isinstance(oracle, Oracle):
-        return oracle
-    if oracle is None:
-        info = REGISTRY.get(circuit.name)
-        oracle = info.oracle if info is not None else None
-        if oracle is None:
-            raise NetlistError(
-                f"no default oracle for block {circuit.name!r}; pass one explicitly"
-            )
-    if oracle not in ORACLES:
-        raise NetlistError(f"unknown oracle {oracle!r}; known: {sorted(ORACLES)}")
-    return ORACLES[oracle]
+def resolve_oracle(circuit: Circuit) -> Oracle:
+    """The oracle the registry names for a block of the circuit's name,
+    looked up in ``ORACLES`` at call time."""
+    info = REGISTRY.get(circuit.name)
+    if info is None:
+        raise NetlistError(f"no oracle for {circuit.name!r}: not a registry block")
+    return ORACLES[info.oracle]
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +261,7 @@ def _counterexample(
 # verification modes
 # ---------------------------------------------------------------------------
 
-def verify_exhaustive(
-    circuit: Circuit,
-    oracle: str | Oracle | None = None,
-    chunk: int = 1 << 16,
-) -> VerificationReport:
+def verify_exhaustive(circuit: Circuit) -> VerificationReport:
     """Check every input combination; refuses above 24 inputs."""
     n = len(circuit.inputs)
     if n > EXHAUSTIVE_INPUT_BOUND:
@@ -281,9 +269,9 @@ def verify_exhaustive(
             f"{circuit.name} has {n} inputs; exhaustive mode stops at "
             f"{EXHAUSTIVE_INPUT_BOUND}. Use random mode with a seed instead."
         )
-    orc = resolve_oracle(circuit, oracle)
+    orc = resolve_oracle(circuit)
     failure: dict | None = None
-    for offset, columns in iter_exhaustive(circuit, chunk):
+    for offset, columns in iter_exhaustive(circuit):
         outs = evaluate_batch(circuit, columns)
         ok = orc.check(columns, outs)
         if failure is None and not bool(np.all(ok)):
@@ -312,14 +300,20 @@ def _array_columns(circuit: Circuit) -> list[int]:
 
 def structured_rows(circuit: Circuit) -> np.ndarray:
     """All-zeros, all-ones, the one-hot walk, and for array-shaped
-    blocks (``bit_<r>_<c>`` inputs) each fully saturated column."""
+    blocks (``bit_<r>_<c>`` inputs) each fully saturated column.
+
+    The (rows, inputs) result is a view of a column-major array, so
+    each input's column is contiguous.
+    """
     n = len(circuit.inputs)
-    rows = [np.zeros(n, np.uint8), np.ones(n, np.uint8)]
-    rows.extend(np.eye(n, dtype=np.uint8))
     column = _array_columns(circuit)
-    for c in sorted(set(column)):
-        rows.append(np.array([k == c for k in column], np.uint8))
-    return np.stack(rows)
+    saturated = sorted(set(column))
+    suite = np.zeros((n, 2 + n + len(saturated)), np.uint8)
+    suite[:, 1] = 1
+    np.fill_diagonal(suite[:, 2:], 1)
+    if saturated:
+        suite[:, 2 + n :] = np.equal.outer(column, saturated)
+    return suite.T
 
 
 # Random rows are drawn this many at a time and transposed into the
@@ -346,16 +340,14 @@ def _stimulus_buffer(circuit: Circuit, vectors: int) -> np.ndarray:
 
 
 def verify_random(
-    circuit: Circuit,
-    oracle: str | Oracle | None = None,
-    seed: int = 0,
-    count: int = 1000,
-    structured: bool = True,
+    circuit: Circuit, *, seed: int = 0, count: int = 1000
 ) -> VerificationReport:
-    """Structured suite plus ``count`` seeded random vectors.
+    """The structured suite plus ``count`` seeded random vectors, checked
+    against the oracle the registry names for the block.
 
-    The vectors are the structured suite's rows, then the rows of the
-    single draw ``default_rng(seed).integers(0, 2, (count, n), np.uint8)``.
+    The vectors are the rows of :func:`structured_rows`, then the rows
+    of the single draw ``default_rng(seed).integers(0, 2, (count, n),
+    np.uint8)``.
     The stimulus is held column-major: one (n, vectors) uint8 buffer,
     allocated once, whose rows the engine and the oracle read as
     contiguous input columns.  Random rows are drawn in blocks and
@@ -368,12 +360,11 @@ def verify_random(
         raise NetlistError("count must be >= 0")
     if seed < 0:
         raise NetlistError("seed must be >= 0")
-    orc = resolve_oracle(circuit, oracle)
+    orc = resolve_oracle(circuit)
     n = len(circuit.inputs)
-    n_structured = 2 + n + len(set(_array_columns(circuit))) if structured else 0
+    n_structured = 2 + n + len(set(_array_columns(circuit)))
     stimulus = _stimulus_buffer(circuit, n_structured + count)
-    if structured:
-        stimulus[:, :n_structured] = structured_rows(circuit).T
+    stimulus[:, :n_structured] = structured_rows(circuit).T
     rng = np.random.default_rng(seed)
     drawn = stimulus[:, n_structured:]
     for start in range(0, count, RANDOM_BLOCK_ROWS):

@@ -16,7 +16,7 @@ def patched_block(monkeypatch, name, factory):
     monkeypatch.setitem(
         generators.REGISTRY,
         name,
-        generators.GeneratorInfo(factory, {}, info.oracle, info.summary),
+        generators.GeneratorInfo(factory, {}, info.oracle),
     )
 
 

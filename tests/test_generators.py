@@ -280,25 +280,24 @@ def test_pipeline_all_ones_totals_1785():
     assert sum(v << int(p[1:]) for p, v in out.items()) == 1785
 
 
-def test_pipeline_accepts_circuit_compressor():
-    c = pipeline(cols=1, compressor=compressor72_cascade())
-    out = evaluate(c, {p: 1 for p in c.inputs})
-    assert sum(v << int(p[1:]) for p, v in out.items()) == 7
-
-
 def test_pipeline_rejects_unknown_compressor():
-    with pytest.raises(ParameterError):
-        pipeline(compressor="ripple")
+    # only a registry name is a compressor; unhashable values included
+    for factory in (array_reducer, pipeline):
+        for bad in ("ripple", None, [1], {}, compressor72_cascade()):
+            with pytest.raises(ParameterError, match="compressor72_cascade"):
+                factory(cols=1, compressor=bad)
 
 
 @pytest.mark.parametrize("factory", [array_reducer, pipeline])
 @pytest.mark.parametrize(
-    "compressor", [None, "compressor72_cascade", compressor72_cascade()]
+    "compressor", [None, "compressor72_cascade"]
 )
 def test_arrays_reject_unknown_middle_pick_for_every_compressor(factory, compressor):
-    # the cascade ignores middle_pick, but a bad value is still an error
+    # None passes no compressor, so the default is used.  The cascade
+    # ignores middle_pick, but a bad value is still an error.
+    chosen = {} if compressor is None else {"compressor": compressor}
     with pytest.raises(ParameterError, match="middle_pick"):
-        factory(cols=2, compressor=compressor, middle_pick="bogus")
+        factory(cols=2, middle_pick="bogus", **chosen)
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ import pytest
 from gatelab import verify
 from gatelab.core import GateKind, NetlistError, new_circuit
 from gatelab.generators import REGISTRY, BlockSpec, build_block
-from gatelab.simulate import evaluate_batch, iter_exhaustive
+from gatelab.simulate import evaluate_batch, exhaustive_columns, iter_exhaustive
 from gatelab.verify import (
     EXHAUSTIVE_INPUT_BOUND,
     ORACLES,
@@ -111,10 +111,24 @@ def test_exhaustive_refuses_wide_blocks():
 
 
 def test_exhaustive_chunking_matches_single_shot():
-    c = build_block(BlockSpec("sfa"))
-    whole = verify_exhaustive(c)
-    chunked = verify_exhaustive(c, chunk=3)
-    assert whole.to_json() == chunked.to_json()
+    # kogge_stone(width=8) has 17 inputs, so the sweep takes two chunks
+    # of 2^16 vectors.  n18, the AND(a0, b0) inside p0_0's XOR, turned
+    # into a NOR makes p0_0 = a0 | b0: wrong first at a0 = b0 = 1,
+    # index 2^16 + 2^8, in the second chunk.
+    adder = build_block(BlockSpec("kogge_stone", {"width": 8}))
+    broken = with_kind(adder, "n18", GateKind.NOR2)
+    columns = dict(zip(adder.inputs, exhaustive_columns(17, 0, 1 << 17)))
+    single_shot = ORACLES["adder"].check(columns, evaluate_batch(broken, columns))
+    assert int(np.argmin(single_shot)) == 65_792
+    report = verify_exhaustive(broken)
+    assert report.status == "fail"
+    assert report.vectors_tried == 1 << 17
+    assert report.counterexample == {
+        "index": 65_792,
+        "vector": {p: int(p in ("a0", "b0")) for p in adder.inputs},
+        "expected": {"a + b + cin": 2},
+        "actual": {"s + 2^w*cout": 3},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -178,20 +192,15 @@ _STIMULUS_BLOCKS = (
 )
 
 
-@pytest.mark.parametrize("structured", (True, False))
 @pytest.mark.parametrize("count", (0, 1, RANDOM_BLOCK_ROWS + 1))
 @pytest.mark.parametrize("spec", _STIMULUS_BLOCKS, ids=BlockSpec.label)
-def test_random_stimulus_is_structured_rows_then_one_draw(
-    monkeypatch, spec, count, structured
-):
+def test_random_stimulus_is_structured_rows_then_one_draw(monkeypatch, spec, count):
     circuit = build_block(spec)
     n = len(circuit.inputs)
-    columns = engine_stimulus(
-        monkeypatch, circuit, seed=7, count=count, structured=structured
-    )
+    columns = engine_stimulus(monkeypatch, circuit, seed=7, count=count)
     assert list(columns) == list(circuit.inputs)
     draw = np.random.default_rng(7).integers(0, 2, size=(count, n), dtype=np.uint8)
-    expected = np.concatenate([structured_rows(circuit)] * structured + [draw])
+    expected = np.concatenate([structured_rows(circuit), draw])
     assert np.array_equal(np.stack(list(columns.values()), axis=1), expected)
     # contiguous uint8 columns, which the engine reads without gathering
     for port, col in columns.items():
@@ -207,17 +216,17 @@ def test_random_counterexample_past_the_first_block_is_pinned():
     vector = np.random.default_rng(0).integers(
         0, 2, size=(6911, len(adder.inputs)), dtype=np.uint8
     )[6910]
-    for structured, index in ((True, 67 + 6910), (False, 6910)):
-        report = verify_random(broken, seed=0, count=8000, structured=structured)
-        assert index > report.structured_count + RANDOM_BLOCK_ROWS
-        assert report.status == "fail"
-        assert report.vectors_tried == report.structured_count + 8000
-        assert report.counterexample == {
-            "index": index,
-            "vector": dict(zip(adder.inputs, vector.tolist())),
-            "expected": {"a + b + cin": 3473568768},
-            "actual": {"s + 2^w*cout": 3406459904},
-        }
+    report = verify_random(broken, seed=0, count=8000)
+    index = 67 + 6910
+    assert index > report.structured_count + RANDOM_BLOCK_ROWS
+    assert report.status == "fail"
+    assert report.vectors_tried == report.structured_count + 8000
+    assert report.counterexample == {
+        "index": index,
+        "vector": dict(zip(adder.inputs, vector.tolist())),
+        "expected": {"a + b + cin": 3473568768},
+        "actual": {"s + 2^w*cout": 3406459904},
+    }
 
 
 def test_oversized_stimulus_is_refused_before_allocation(monkeypatch):
@@ -346,17 +355,17 @@ def test_registry_oracles_all_exist():
         assert info.oracle in ORACLES, name
 
 
-def test_resolve_oracle_paths():
+def test_resolve_oracle_paths(monkeypatch):
     c = build_block(BlockSpec("sfa"))
-    assert resolve_oracle(c, None).name == "sfa"
-    assert resolve_oracle(c, "full_adder").name == "full_adder"
-    assert resolve_oracle(c, ORACLES["sorter"]).name == "sorter"
-    with pytest.raises(NetlistError):
-        resolve_oracle(c, "nosuchoracle")
+    assert resolve_oracle(c) is ORACLES["sfa"]
+    # looked up at call time, so a swapped ORACLES entry is the one used
+    swapped = dataclasses.replace(ORACLES["sfa"], name="swapped")
+    monkeypatch.setitem(ORACLES, "sfa", swapped)
+    assert resolve_oracle(c) is swapped
     anon = new_circuit("anon", ["a"])
     anon.set_output("o", anon.inv(anon.input("a")))
-    with pytest.raises(NetlistError, match="no default oracle"):
-        resolve_oracle(anon.seal(), None)
+    with pytest.raises(NetlistError, match="not a registry block"):
+        resolve_oracle(anon.seal())
 
 
 def test_report_json_shape():
