@@ -43,15 +43,17 @@ ARITY = {
     GateKind.INV: 1,
 }
 
-#: Each gate's boolean function, the only place it is written.  The
-#: expressions hold alike for Python ints and for uint8 numpy columns of
-#: 0/1, so constant folding and simulation both read this table.
+#: Each gate's boolean function, the only place it is written.  The last
+#: argument is the all-ones value of the operands' type: ``1`` for the
+#: 0/1 Python ints of constant folding and scalar evaluation,
+#: ``np.uint64(2**64 - 1)`` for the engine's words of 64 packed vectors.
+#: Inversion is ``^ one``, so a word flips all 64 bits, not only bit 0.
 GATE_FN: dict[GateKind, Callable[..., Any]] = {
-    GateKind.AND2: lambda a, b: a & b,
-    GateKind.OR2: lambda a, b: a | b,
-    GateKind.NAND2: lambda a, b: (a & b) ^ 1,
-    GateKind.NOR2: lambda a, b: (a | b) ^ 1,
-    GateKind.INV: lambda a: a ^ 1,
+    GateKind.AND2: lambda a, b, one: a & b,
+    GateKind.OR2: lambda a, b, one: a | b,
+    GateKind.NAND2: lambda a, b, one: (a & b) ^ one,
+    GateKind.NOR2: lambda a, b, one: (a | b) ^ one,
+    GateKind.INV: lambda a, one: a ^ one,
 }
 
 # Inverters are tracked apart from the 2-input gates in area and timing.
@@ -123,6 +125,12 @@ class Circuit:
         object.__setattr__(
             self, "_name_to_net", {n: i for i, n in enumerate(self.net_names)}
         )
+
+    def __getstate__(self) -> dict:
+        # The engine's op list (simulate._compile), kept here after the
+        # first evaluation, holds GATE_FN's lambdas, which do not pickle;
+        # it is compiled again on first use.
+        return {k: v for k, v in vars(self).items() if k != "_ops"}
 
     @property
     def num_nets(self) -> int:
@@ -309,11 +317,11 @@ class CircuitBuilder:
             return out
         fn = GATE_FN[kind]
         if not nets:
-            return Const(fn(*(ref.value for ref in ins)))
+            return Const(fn(*(ref.value for ref in ins), 1))
         # One net x and one constant: the gate is x, !x or a constant.
         (x,) = nets
         low, high = (
-            fn(*(ref.value if isinstance(ref, Const) else bit for ref in ins))
+            fn(*(ref.value if isinstance(ref, Const) else bit for ref in ins), 1)
             for bit in (0, 1)
         )
         if low == high:

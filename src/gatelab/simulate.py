@@ -1,10 +1,13 @@
 """Circuit evaluation: one engine for batches and single vectors.
 
-The engine keeps one uint8 numpy array of 0/1 values per live net and
-walks the cells once, applying each gate's function from
-:data:`~gatelab.core.GATE_FN`, so exhaustive sweeps and large random
-samples are bitwise-parallel across vectors rather than per-vector
-Python loops.  A single vector is a batch of one row.
+Each circuit is compiled once, on its first evaluation, into a flat op
+list: each cell's function from :data:`~gatelab.core.GATE_FN`, its input
+and output nets, and the nets it reads for the last time.  A batch runs
+that list on uint64 words that each hold 64 vectors, one word array per
+live net, so exhaustive sweeps and large random samples are
+bitwise-parallel across vectors; columns are packed on the way in and
+unpacked on the way out.  A single vector runs the same list on Python
+ints.
 
 Exhaustive enumeration order is documented and relied on elsewhere:
 vector index v assigns input i (in declared order) the bit
@@ -14,7 +17,7 @@ lexicographic order over input tuples.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
@@ -53,6 +56,47 @@ def _stimulus(circuit: Circuit, columns: Mapping[str, object]) -> list[np.ndarra
     return cols
 
 
+# The all-ones word: GATE_FN's inversion value for 64 packed vectors.
+_ONES = np.uint64(2**64 - 1)
+
+
+def _compile(circuit: Circuit) -> tuple[tuple, ...]:
+    """The circuit's cells as a flat op list in topological order, each
+    op (gate function from GATE_FN, input nets, output net, nets to free
+    after it).
+
+    An op frees the non-output nets it reads for the last time, so only
+    live nets hold values.
+    """
+    keep = set(circuit.output_nets)
+    last_read = {net: k for k, cell in enumerate(circuit.cells) for net in cell.ins}
+    free: list[list[int]] = [[] for _ in circuit.cells]
+    for net, k in last_read.items():
+        if net not in keep:
+            free[k].append(net)
+    return tuple(
+        (GATE_FN[cell.kind], cell.ins, cell.out, tuple(nets))
+        for cell, nets in zip(circuit.cells, free)
+    )
+
+
+def _run(circuit: Circuit, inputs: list, one: Any) -> list:
+    """All net values (None once freed) from the input nets' values, by
+    the circuit's op list, compiled on first use and kept on the circuit
+    in a private attribute that is no dataclass field."""
+    ops = circuit.__dict__.get("_ops")
+    if ops is None:
+        ops = _compile(circuit)
+        object.__setattr__(circuit, "_ops", ops)
+    values = inputs + [None] * (circuit.num_nets - len(inputs))
+    get = values.__getitem__
+    for fn, ins, out, free in ops:
+        values[out] = fn(*map(get, ins), one)
+        for net in free:
+            values[net] = None
+    return values
+
+
 def evaluate_batch(
     circuit: Circuit, columns: Mapping[str, np.ndarray]
 ) -> dict[str, np.ndarray]:
@@ -62,39 +106,65 @@ def evaluate_batch(
     all arrays must share one length.  Returns uint8 output columns of
     the same length.
     """
-    keep = set(circuit.output_nets)
-    # Each net is dropped after its last reader, so only live nets hold
-    # arrays and each call reuses a few of them instead of faulting in
-    # nets x vectors bytes of fresh memory.
-    last_read = {net: k for k, cell in enumerate(circuit.cells) for net in cell.ins}
-    values: list = _stimulus(circuit, columns)
-    values += [None] * (circuit.num_nets - len(values))
-    for k, cell in enumerate(circuit.cells):
-        values[cell.out] = GATE_FN[cell.kind](*map(values.__getitem__, cell.ins))
-        for net in cell.ins:
-            if last_read[net] == k and net not in keep:
-                values[net] = None
-    return {
-        port: values[net] for port, net in zip(circuit.outputs, circuit.output_nets)
-    }
+    cols = _stimulus(circuit, columns)
+    length = len(cols[0])
+    # Vector v sits at bit v % 64 of word v // 64, through each word's
+    # little-endian byte view; padding past the last vector starts at 0.
+    packed = np.zeros((len(cols), -(-length // 64) * 8), np.uint8)
+    for row, col in zip(packed, cols):
+        bits = np.packbits(col, bitorder="little")
+        row[: bits.size] = bits
+    values = _run(circuit, list(packed.view(np.uint64)), _ONES)
+    # An inversion sets the padding bits; count drops them.
+    outs = np.stack([values[net] for net in circuit.output_nets]).view(np.uint8)
+    bits = np.unpackbits(outs, axis=1, count=length, bitorder="little")
+    return dict(zip(circuit.outputs, bits))
 
 
 def evaluate(circuit: Circuit, vector: Mapping[str, int]) -> dict[str, int]:
-    """Evaluate one input vector; returns its outputs."""
-    columns = {port: [value] for port, value in vector.items()}
-    outs = evaluate_batch(circuit, columns)
-    return {name: int(col[0]) for name, col in outs.items()}
+    """Evaluate one input vector; returns its outputs.
+
+    The vector runs through the same op list as a batch, on Python ints.
+    Plain int and bool 0/1 values skip the batch's numpy stimulus checks;
+    any other vector goes through them, so both accept and reject the
+    same values.
+    """
+    bits = [vector.get(port) for port in circuit.inputs]
+    if len(vector) != len(bits) or not all(
+        type(b) in (int, bool) and (b == 0 or b == 1) for b in bits
+    ):
+        cols = _stimulus(circuit, {port: [value] for port, value in vector.items()})
+        bits = [int(col[0]) for col in cols]
+    values = _run(circuit, bits, 1)
+    return {
+        port: int(values[net]) for port, net in zip(circuit.outputs, circuit.output_nets)
+    }
 
 
 def exhaustive_columns(
     n_inputs: int, start: int, stop: int
 ) -> list[np.ndarray]:
-    """Input columns for vector indices [start, stop) in enumeration order."""
-    # Indices past int64 (circuits of 64 or more inputs) stay Python ints.
-    idx = np.arange(start, stop, dtype=np.int64 if stop < 1 << 63 else object)
-    return [
-        ((idx >> (n_inputs - 1 - i)) & 1).astype(np.uint8) for i in range(n_inputs)
-    ]
+    """Input columns for vector indices [start, stop) in enumeration order,
+    as the rows of one (inputs, vectors) uint8 array.
+
+    Input i holds bit s = n - 1 - i of the index, which runs in blocks of
+    2^s equal values.  Each column is cut from that run pattern, starting
+    from the parity of ``start >> s`` taken as a Python int, so any index
+    is exact, past 2^63 too.
+    """
+    length = stop - start
+    cols = np.empty((n_inputs, length), np.uint8)
+    for s, col in zip(range(n_inputs - 1, -1, -1), cols):
+        half = 1 << s
+        bit = (start >> s) & 1
+        skip = start & (half - 1)  # vectors of this run before start
+        if half >= length:  # at most one run boundary inside the range
+            col[:] = bit ^ 1
+            col[: half - skip] = bit
+        else:
+            runs = np.repeat(np.array([bit, bit ^ 1], np.uint8), half)
+            col[:] = np.tile(runs, -(-(skip + length) // (2 * half)))[skip:][:length]
+    return list(cols)
 
 
 def iter_exhaustive(circuit: Circuit) -> Iterator[tuple[int, dict[str, np.ndarray]]]:

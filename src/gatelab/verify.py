@@ -78,6 +78,9 @@ def _int64(cols: Columns) -> dict[str, np.ndarray]:
     return {port: np.asarray(col, dtype=np.int64) for port, col in cols.items()}
 
 
+_CARRY_TYPES = (np.int8, np.int16, np.int32, np.int64)
+
+
 def _weighted(
     name: str,
     in_label: str,
@@ -90,17 +93,26 @@ def _weighted(
     def check(ins: Columns, outs: Columns) -> np.ndarray:
         # Cancel the two sums one weight at a time, carrying the remainder
         # upward: a row fails when a remainder is odd or the last is not
-        # zero.  |carry| never exceeds the port count, so int32 is exact
-        # at any width.
+        # zero.  Before weight e is shifted out, |carry| is at most the
+        # number of ports of weight e or below (halving never grows it),
+        # so the narrowest signed type that holds +-ports is exact at any
+        # width: int8 up to 127 ports, then int16, int32.
         terms = defaultdict(list)  # exponent -> [(column, np.add | np.subtract)]
         for port, e in in_exponents(tuple(ins)).items():
             terms[e].append((ins[port], np.add))
         for port, e in out_exponents(tuple(outs)).items():
             terms[e].append((outs[port], np.subtract))
-        carry = np.zeros(len(next(iter(ins.values()))), np.int32)
+        ports = sum(map(len, terms.values()))
+        dtype = next(t for t in _CARRY_TYPES if ports <= np.iinfo(t).max)
+        carry = np.zeros(len(next(iter(ins.values()))), dtype)
         odd = np.zeros_like(carry)  # bit 0 set once any remainder was odd
         for e in range(max(terms) + 1):
             for column, accumulate in terms.get(e, ()):
+                column = np.asarray(column)
+                if column.dtype == np.uint8:
+                    # 0/1 either way; as int8, an int8 carry adds it with
+                    # no cast (a mixed add would run in int16 and cast).
+                    column = column.view(np.int8)
                 accumulate(carry, column, out=carry)
             odd |= carry
             carry >>= 1

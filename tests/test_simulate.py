@@ -4,6 +4,7 @@ folding, enumeration order, stimulus checks."""
 from __future__ import annotations
 
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_export import random_circuits
 
+from gatelab import simulate
 from gatelab.core import ARITY, ONE, ZERO, Cell, Const, GateKind, new_circuit
+from gatelab.export import to_json
 from gatelab.generators import (
     REGISTRY,
     BlockSpec,
@@ -122,6 +125,64 @@ def test_folding_keeps_every_gate_function(recipe):
             assert got == {port: want[net] for port, net in live.items()}, bits
 
 
+def inverting_block():
+    """Only INV and NOR cells: every padding bit of a packed word ends up 1."""
+    b = new_circuit("inverting", ["a", "b", "c"])
+    a, x, c = (b.input(p) for p in ("a", "b", "c"))
+    b.set_output("na", b.inv(a))
+    b.set_output("nor", b.nor_(a, x))
+    b.set_output("deep", b.nor_(b.inv(b.nor_(x, c)), b.inv(a)))
+    return b.seal()
+
+
+@pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 127, 129, (1 << 16) + 1])
+@pytest.mark.parametrize("make", [inverting_block, sfa, lambda: kogge_stone(width=3)])
+def test_batch_lengths_across_word_boundaries(make, length):
+    circuit = make()
+    n = len(circuit.inputs)
+    rows = np.random.default_rng(length).integers(0, 2, size=(length, n), dtype=np.uint8)
+    # the reference output of every input vector, looked up by row index
+    table = {
+        port: np.array([reference_outputs(circuit, dict(zip(circuit.inputs, bits)))[port]
+                        for bits in itertools.product((0, 1), repeat=n)], np.uint8)
+        for port in circuit.outputs
+    }
+    index = rows @ (1 << np.arange(n - 1, -1, -1))
+    batch = evaluate_batch(circuit, dict(zip(circuit.inputs, rows.T)))
+    for port in circuit.outputs:
+        assert batch[port].dtype == np.uint8 and batch[port].shape == (length,)
+        assert np.array_equal(batch[port], table[port][index]), port
+
+
+def test_op_list_is_compiled_once_per_circuit(monkeypatch):
+    compiled = []
+    compile_ = simulate._compile
+    monkeypatch.setattr(
+        simulate, "_compile", lambda c: compiled.append(c) or compile_(c)
+    )
+    c = kogge_stone(width=4)
+    cols = dict(zip(c.inputs, exhaustive_columns(len(c.inputs), 0, 1 << len(c.inputs))))
+    first = evaluate_batch(c, cols)
+    second = evaluate_batch(c, cols)
+    evaluate(c, {p: 1 for p in c.inputs})
+    assert len(compiled) == 1 and compiled[0] is c
+    assert all(np.array_equal(first[p], second[p]) for p in c.outputs)
+    # a copy that pickling made compiles its own, and evaluates alike
+    copy = pickle.loads(pickle.dumps(c))
+    assert copy == c and repr(copy) == repr(c)
+    assert all(np.array_equal(evaluate_batch(copy, cols)[p], first[p]) for p in c.outputs)
+    assert len(compiled) == 2 and compiled[1] is copy
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_evaluation_leaves_the_circuit_as_it_was(name):
+    c = build_block(BlockSpec(name))
+    before = (to_json(c), repr(c))
+    evaluate(c, {p: 0 for p in c.inputs})
+    assert (to_json(c), repr(c)) == before
+    assert c == build_block(BlockSpec(name))
+
+
 def test_scalar_and_batch_agree():
     c = sfa()
     cols = exhaustive_columns(4, 0, 16)
@@ -143,6 +204,14 @@ def test_stimulus_must_match_inputs_exactly():
         evaluate(c, {"In1": "1", "In2": 0})
     with pytest.raises(SimulationError):
         evaluate(c, {"In1": -1, "In2": 0})
+    for bad in (None, 0.5, 1 + 0j, [1], np.array([1])):
+        with pytest.raises(SimulationError):
+            evaluate(c, {"In1": bad, "In2": 0})
+    # the values a one-row batch accepts, read as 0/1 ints
+    for one in (True, 1.0, np.uint8(1), np.bool_(True), np.float64(1), np.array(1)):
+        got = evaluate(c, {"In1": one, "In2": 0})
+        assert got == {"Out1": 1, "Out2": 0}
+        assert all(type(v) is int for v in got.values())
 
 
 def test_batch_rejects_ragged_or_non_bit_columns():
@@ -184,6 +253,17 @@ def test_enumeration_is_lexicographic_first_input_most_significant():
     matrix = np.stack(cols, axis=1).tolist()
     assert matrix == [list(bits) for bits in itertools.product((0, 1), repeat=3)]
     assert vector_at(traditional_fa(), 5) == {"A": 1, "B": 0, "C": 1}
+
+
+def test_exhaustive_columns_are_the_index_bits_of_any_range():
+    for start, stop in itertools.combinations_with_replacement(range(33), 2):
+        idx = np.arange(start, stop)
+        want = [(idx >> s) & 1 for s in range(4, -1, -1)]
+        assert np.array_equal(exhaustive_columns(5, start, stop), want), (start, stop)
+    start = (1 << 70) - 37  # past int64, across runs of every short input
+    cols = exhaustive_columns(71, start, start + 100)
+    for s, col in zip(range(70, -1, -1), cols):
+        assert col.tolist() == [(v >> s) & 1 for v in range(start, start + 100)], s
 
 
 def test_exhaustive_chunks_cover_the_space_in_order():

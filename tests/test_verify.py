@@ -229,6 +229,26 @@ def test_random_counterexample_past_the_first_block_is_pinned():
     }
 
 
+def test_fault_at_the_last_vector_of_a_65_vector_run_is_reported_there():
+    # kogge_stone(8) with s0 flipped on exactly one input vector: the
+    # last of 19 structured + 46 random rows, bit 0 of the second word.
+    adder = build_block(BlockSpec("kogge_stone"))
+    n = len(adder.inputs)
+    last = np.random.default_rng(4).integers(0, 2, size=(46, n), dtype=np.uint8)[-1]
+    b = new_circuit("kogge_stone", adder.inputs)
+    outs = b.instantiate(adder, {p: b.input(p) for p in adder.inputs})
+    match = b.input(adder.inputs[0]) if last[0] else b.inv(b.input(adder.inputs[0]))
+    for port, bit in zip(adder.inputs[1:], last[1:].tolist()):
+        match = b.and_(match, b.input(port) if bit else b.inv(b.input(port)))
+    for port, ref in outs.items():
+        b.set_output(port, b.xor(ref, match) if port == "s0" else ref)
+    report = verify_random(b.seal(), seed=4, count=46)
+    assert report.vectors_tried == report.structured_count + 46 == 65
+    assert report.status == "fail"
+    assert report.counterexample["index"] == 64
+    assert report.counterexample["vector"] == dict(zip(adder.inputs, last.tolist()))
+
+
 def test_oversized_stimulus_is_refused_before_allocation(monkeypatch):
     def no_allocation(*args, **kwargs):
         raise AssertionError("allocated before refusing")
@@ -348,6 +368,47 @@ def test_check_agrees_with_explain(oracle):
             assert bool(mask[row]) == agree, (flipped, row)
         if len(flipped) == 1:
             assert (mask == ~flipped_rows).all()
+
+
+@pytest.mark.parametrize("ports", [127, 128, 255, 32767, 32768])
+@pytest.mark.parametrize("light", [1, 16])
+@pytest.mark.parametrize("heavy_side", ["in", "out"])
+def test_weighted_carry_is_exact_at_its_dtype_boundaries(ports, light, heavy_side):
+    # int8 holds the carry up to 127 ports and int16 up to 32,767 (255
+    # would pass for uint8's limit, which an int8 carry overflows).  All
+    # but ``light`` ports sit at weight 2^0 on one side, so setting them
+    # drives |carry| to ports - light before the first shift; the light
+    # side counts in binary (2^0 .. 2^(light-1)).
+    heavy = {f"h{j}": 0 for j in range(ports - light)}
+    counted = {f"c{j}": j for j in range(light)}
+    in_e, out_e = (heavy, counted) if heavy_side == "in" else (counted, heavy)
+    oracle = verify._weighted(
+        "boundary", "ins", verify._fixed(**in_e), "outs", verify._fixed(**out_e)
+    )
+    n = len(heavy)
+    binary = [(n >> j) & 1 for j in range(light)]
+    rows = [  # (heavy bits, light bits)
+        ([0] * n, [0] * light),
+        ([1] * n, [0] * light),
+        ([0] * n, [1] * light),
+        ([1] * n, [1] * light),
+        ([1] * n, binary),  # passes when the light side can count to n
+        ([1] * (n - 1) + [0], binary),
+    ]
+    columns = {p: np.array([r[0][j] for r in rows], np.uint8) for j, p in enumerate(heavy)}
+    columns |= {p: np.array([r[1][j] for r in rows], np.uint8) for j, p in enumerate(counted)}
+    ins = {p: columns[p] for p in in_e}
+    outs = {p: columns[p] for p in out_e}
+    mask = oracle.check(ins, outs)
+    agree = []
+    for row in range(len(rows)):
+        expected, actual = oracle.explain(
+            {p: int(col[row]) for p, col in ins.items()},
+            {p: int(col[row]) for p, col in outs.items()},
+        )
+        agree.append(list(expected.values()) == list(actual.values()))
+    assert mask.tolist() == agree
+    assert agree[4] == (light == 16)
 
 
 def test_registry_oracles_all_exist():
