@@ -10,7 +10,10 @@ statement; the registry names the oracle of each block.
 Exhaustive sweeps cover every input combination up to a hard bound of
 24 inputs; above that, a seeded random mode draws from numpy's
 default_rng (PCG64) after always trying a small structured suite (all
-zeros, all ones, one-hot walk, per-column saturation).
+zeros, all ones, one-hot walk, per-column saturation).  The random
+stream is bit 7 of each byte of PCG64's little-endian raw words, which
+equals ``default_rng(seed).integers(0, 2, (count, n), np.uint8)``;
+tests pin the equality.
 
 Failures report the first counterexample in scan order; for
 exhaustive mode that is the lexicographically first failing input
@@ -29,7 +32,7 @@ import numpy as np
 
 from .core import SCHEMA_VERSION, Circuit, NetlistError
 from .generators import REGISTRY
-from .simulate import evaluate_batch, exhaustive_columns, iter_exhaustive
+from .simulate import engine_bytes, evaluate_batch, exhaustive_columns, iter_exhaustive
 
 EXHAUSTIVE_INPUT_BOUND = 24
 PRNG_NAME = "numpy default_rng (PCG64)"
@@ -329,22 +332,31 @@ def structured_rows(circuit: Circuit) -> np.ndarray:
 
 
 # Random rows are drawn this many at a time and transposed into the
-# stimulus.  numpy fills uint8 draws from 32-bit words, four values per
-# word, and drops a call's leftover values, so the blocks continue the
-# stream of one (count, n) draw only when each holds a multiple of 4
-# values: keep this a multiple of 4.
-RANDOM_BLOCK_ROWS = 4096
+# stimulus.  The stream is bit 7 of each byte of PCG64's little-endian
+# raw words, which equals default_rng(seed).integers(0, 2, (count, n),
+# np.uint8): numpy draws each uint8 from one byte of the same words and
+# maps byte b into [0, 2) as (2 * b) >> 8 (tests pin the equality).  A
+# raw word holds 8 values and a block drops its last word's unused bytes,
+# so the blocks continue one stream only when each holds a multiple of 8
+# values: keep this a multiple of 8.  512 rows drew the 224-input array
+# fastest (a block of 115 KB stays in cache).
+RANDOM_BLOCK_ROWS = 512
 
 
 def _stimulus_buffer(circuit: Circuit, vectors: int) -> np.ndarray:
     """An uninitialised (inputs, vectors) uint8 buffer, refused with a
-    ``NetlistError`` when it would not fit in the host's memory."""
+    ``NetlistError`` when it, or it and the engine's arrays for the same
+    vectors, would not fit in the host's memory."""
     n = len(circuit.inputs)
     size = n * vectors
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     need = f"{circuit.name}: {vectors:,} vectors x {n} inputs need {size:,} bytes"
+    more = f"more than the host's {physical:,} bytes of memory"
     if size > physical:
-        raise NetlistError(f"{need}, more than the host's {physical:,} bytes of memory")
+        raise NetlistError(f"{need}, {more}")
+    engine = engine_bytes(circuit, vectors)
+    if size + engine > physical:
+        raise NetlistError(f"{need} plus {engine:,} for the engine, {more}")
     try:
         return np.empty((n, vectors), np.uint8)
     except MemoryError:
@@ -357,16 +369,18 @@ def verify_random(
     """The structured suite plus ``count`` seeded random vectors, checked
     against the oracle the registry names for the block.
 
-    The vectors are the rows of :func:`structured_rows`, then the rows
-    of the single draw ``default_rng(seed).integers(0, 2, (count, n),
-    np.uint8)``.
+    The vectors are the rows of :func:`structured_rows`, then ``count``
+    random rows of n bits: bit 7 of each byte of PCG64's little-endian
+    raw words from ``default_rng(seed)``, which equals the single draw
+    ``default_rng(seed).integers(0, 2, (count, n), np.uint8)``; tests pin
+    the equality.
     The stimulus is held column-major: one (n, vectors) uint8 buffer,
     allocated once, whose rows the engine and the oracle read as
     contiguous input columns.  Random rows are drawn in blocks and
     written transposed, so no row-major copy of the whole draw exists.
-    A stimulus larger than the host's physical memory is refused with a
-    ``NetlistError`` before anything is allocated, as is one whose
-    allocation fails.
+    A run whose stimulus, or stimulus plus the engine's arrays, exceeds
+    the host's physical memory is refused with a ``NetlistError``
+    before anything is allocated, as is one whose allocation fails.
     """
     if count < 0:
         raise NetlistError("count must be >= 0")
@@ -377,12 +391,13 @@ def verify_random(
     n_structured = 2 + n + len(set(_array_columns(circuit)))
     stimulus = _stimulus_buffer(circuit, n_structured + count)
     stimulus[:, :n_structured] = structured_rows(circuit).T
-    rng = np.random.default_rng(seed)
+    raw = np.random.default_rng(seed).bit_generator.random_raw
     drawn = stimulus[:, n_structured:]
     for start in range(0, count, RANDOM_BLOCK_ROWS):
         rows = min(RANDOM_BLOCK_ROWS, count - start)
-        block = rng.integers(0, 2, size=(rows, n), dtype=np.uint8)
-        drawn[:, start : start + rows] = block.T
+        words = raw(-(-rows * n // 8)).astype("<u8", copy=False)
+        block = words.view(np.uint8)[: rows * n].reshape(rows, n)
+        np.right_shift(block.T, 7, out=drawn[:, start : start + rows])
     columns = dict(zip(circuit.inputs, stimulus))
     outs = evaluate_batch(circuit, columns)
     ok = orc.check(columns, outs)

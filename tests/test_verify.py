@@ -184,7 +184,6 @@ def engine_stimulus(monkeypatch, circuit, **kwargs):
     return columns
 
 
-# odd input counts included: numpy draws uint8 four to a 32-bit word
 _STIMULUS_BLOCKS = (
     BlockSpec("traditional_fa"),
     BlockSpec("compressor72_proposed"),
@@ -192,7 +191,7 @@ _STIMULUS_BLOCKS = (
 )
 
 
-@pytest.mark.parametrize("count", (0, 1, RANDOM_BLOCK_ROWS + 1))
+@pytest.mark.parametrize("count", (0, 1, 4097))  # 4097: several blocks
 @pytest.mark.parametrize("spec", _STIMULUS_BLOCKS, ids=BlockSpec.label)
 def test_random_stimulus_is_structured_rows_then_one_draw(monkeypatch, spec, count):
     circuit = build_block(spec)
@@ -205,6 +204,43 @@ def test_random_stimulus_is_structured_rows_then_one_draw(monkeypatch, spec, cou
     # contiguous uint8 columns, which the engine reads without gathering
     for port, col in columns.items():
         assert col.dtype == np.uint8 and col.flags.c_contiguous, port
+
+
+def one_input_block():
+    # a registry name for its oracle; only the stimulus matters here
+    b = new_circuit("sorter2", ["In1"])
+    b.set_output("Out1", b.inv(b.input("In1")))
+    return b.seal()
+
+
+# A raw PCG64 word holds 8 values: odd input counts and counts that end
+# part-way through a word catch a block size that is not a multiple of 8.
+_STREAM_CIRCUITS = {
+    1: one_input_block,
+    2: lambda: build_block(BlockSpec("sorter2")),
+    3: lambda: build_block(BlockSpec("traditional_fa")),
+    7: lambda: build_block(BlockSpec("array_reducer", {"cols": 1})),
+    9: lambda: build_block(BlockSpec("compressor72_proposed")),
+    224: lambda: build_block(BlockSpec("pipeline", {"cols": 32})),
+}
+_STREAM_COUNTS = (
+    0, 1, 5, RANDOM_BLOCK_ROWS - 1, RANDOM_BLOCK_ROWS, RANDOM_BLOCK_ROWS + 1,
+    2 * RANDOM_BLOCK_ROWS + 3,
+)
+
+
+@pytest.mark.parametrize("seed", (7, 2**63 + 12345))
+@pytest.mark.parametrize("count", _STREAM_COUNTS)
+@pytest.mark.parametrize("n", sorted(_STREAM_CIRCUITS), ids="n={}".format)
+def test_random_stream_is_one_integers_draw(monkeypatch, n, count, seed):
+    # The stream is read from raw PCG64 words; it must stay the draw that
+    # seeds and manifests name, whatever numpy does to `integers`.
+    circuit = _STREAM_CIRCUITS[n]()
+    assert len(circuit.inputs) == n
+    columns = engine_stimulus(monkeypatch, circuit, seed=seed, count=count)
+    drawn = np.stack(list(columns.values()), axis=1)[len(structured_rows(circuit)) :]
+    draw = np.random.default_rng(seed).integers(0, 2, size=(count, n), dtype=np.uint8)
+    assert np.array_equal(drawn, draw)
 
 
 def test_random_counterexample_past_the_first_block_is_pinned():
