@@ -2,10 +2,10 @@
 
 Machine-readable JSON goes to stdout (or --out); human-readable
 status and tables go to stderr.  Exit codes: 0 success or pass, 1
-verification failure, 2 usage or parameter error (a random stimulus
-too large for the host's memory included), 3 I/O error, 4 internal
-error (any other exception, such as running out of memory,
-reported as one line on stderr).
+verification failure, 2 usage or parameter error, 3 I/O error, 4
+internal error (any other exception, such as running out of memory,
+reported as one line on stderr).  A random run checks its vectors in
+chunks of bounded size, so --count bounds its run time, not its memory.
 
 Identical invocations produce byte-identical JSON, so reports can be
 diffed across runs.  Passing --manifest writes a RunManifest JSON

@@ -60,10 +60,10 @@ def _stimulus(circuit: Circuit, columns: Mapping[str, object]) -> list[np.ndarra
 _ONES = np.uint64(2**64 - 1)
 
 
-def _compile(circuit: Circuit) -> tuple[tuple[tuple, ...], int]:
+def _compile(circuit: Circuit) -> tuple[tuple, ...]:
     """The circuit's cells as a flat op list in topological order, each
     op (gate function from GATE_FN, input nets, output net, nets to free
-    after it), and the most cell outputs the list holds at once.
+    after it).
 
     An op frees the non-output nets it reads for the last time, so only
     live nets hold values.
@@ -74,44 +74,20 @@ def _compile(circuit: Circuit) -> tuple[tuple[tuple, ...], int]:
     for net, k in last_read.items():
         if net not in keep:
             free[k].append(net)
-    # Input nets are the first ids; freeing one drops no array of its own.
-    n_inputs = len(circuit.inputs)
-    live = peak = 0
-    for nets in free:
-        live += 1
-        peak = max(peak, live)
-        live -= sum(net >= n_inputs for net in nets)
-    ops = tuple(
+    return tuple(
         (GATE_FN[cell.kind], cell.ins, cell.out, tuple(nets))
         for cell, nets in zip(circuit.cells, free)
     )
-    return ops, peak
-
-
-def _compiled(circuit: Circuit) -> tuple[tuple[tuple, ...], int]:
-    """:func:`_compile`'s op list and peak, compiled on first use and kept
-    on the circuit in the private attribute ``_ops``, which is no
-    dataclass field."""
-    compiled = circuit.__dict__.get("_ops")
-    if compiled is None:
-        compiled = _compile(circuit)
-        object.__setattr__(circuit, "_ops", compiled)
-    return compiled
-
-
-def engine_bytes(circuit: Circuit, vectors: int) -> int:
-    """The bytes a batch of ``vectors`` holds at its peak: ceil(vectors /
-    64) uint64 words for each input and each of the most cell outputs
-    live at once, plus the unpacked uint8 output columns."""
-    peak = _compiled(circuit)[1]
-    words = (len(circuit.inputs) + peak) * -(-vectors // 64) * 8
-    return words + len(circuit.outputs) * vectors
 
 
 def _run(circuit: Circuit, inputs: list, one: Any) -> list:
     """All net values (None once freed) from the input nets' values, by
-    the circuit's op list."""
-    ops = _compiled(circuit)[0]
+    the circuit's op list, compiled on first use and kept on the circuit
+    in a private attribute that is no dataclass field."""
+    ops = circuit.__dict__.get("_ops")
+    if ops is None:
+        ops = _compile(circuit)
+        object.__setattr__(circuit, "_ops", ops)
     values = inputs + [None] * (circuit.num_nets - len(inputs))
     get = values.__getitem__
     for fn, ins, out, free in ops:

@@ -175,24 +175,6 @@ def test_op_list_is_compiled_once_per_circuit(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
-def test_peak_live_nets_is_the_most_a_run_holds(name):
-    c = build_block(BlockSpec(name))
-    ops, peak = simulate._compile(c)
-    n = len(c.inputs)
-    values = [1] * n + [None] * (c.num_nets - n)
-    most = 0
-    for fn, ins, out, free in ops:
-        values[out] = fn(*(values[net] for net in ins), 1)
-        most = max(most, sum(v is not None for v in values[n:]))
-        for net in free:
-            values[net] = None
-    assert peak == most
-    # 65 vectors take two uint64 words per net and 65 bytes per output
-    words = (n + most) * 2 * 8
-    assert simulate.engine_bytes(c, 65) == words + len(c.outputs) * 65
-
-
-@pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_evaluation_leaves_the_circuit_as_it_was(name):
     c = build_block(BlockSpec(name))
     before = (to_json(c), repr(c))

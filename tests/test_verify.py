@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from gatelab.verify import (
     EXHAUSTIVE_INPUT_BOUND,
     ORACLES,
     RANDOM_BLOCK_ROWS,
+    RANDOM_CHUNK_BYTES,
+    RANDOM_CHUNK_ROWS,
     ExhaustiveBoundError,
     resolve_oracle,
     structured_rows,
@@ -81,7 +84,8 @@ def test_exhaustive_counterexample_is_lex_first():
     assert ce["vector"] == {"A": 0, "B": 1, "C": 1}
     assert ce["expected"] == {"Carry": 1, "Sum": 0}
     assert ce["actual"] == {"Carry": 0, "Sum": 0}
-    # the sweep still covers the whole space
+    # vectors_tried names the whole space, though the sweep stops at the
+    # failing chunk
     assert report.vectors_tried == 8
 
 
@@ -131,6 +135,36 @@ def test_exhaustive_chunking_matches_single_shot():
     }
 
 
+def counting_engine(monkeypatch):
+    """A list that grows by one for each chunk verify hands the engine."""
+    calls = []
+
+    def counting(circuit, columns):
+        calls.append(len(next(iter(columns.values()))))
+        return evaluate_batch(circuit, columns)
+
+    monkeypatch.setattr(verify, "evaluate_batch", counting)
+    return calls
+
+
+def test_exhaustive_stops_at_its_first_failing_chunk(monkeypatch):
+    # n18, the AND(a0, b0) inside p0_0's XOR, turned into an OR makes
+    # p0_0 = a0 ^ b0 wrong first at b0 = 1 alone, index 2^8, in the first
+    # of two chunks; the second is never simulated.
+    adder = build_block(BlockSpec("kogge_stone", {"width": 8}))
+    calls = counting_engine(monkeypatch)
+    report = verify_exhaustive(with_kind(adder, "n18", GateKind.OR2))
+    assert calls == [1 << 16]
+    assert report.status == "fail"
+    assert report.vectors_tried == 1 << 17
+    assert report.counterexample == {
+        "index": 256,
+        "vector": {p: int(p == "b0") for p in adder.inputs},
+        "expected": {"a + b + cin": 1},
+        "actual": {"s + 2^w*cout": 0},
+    }
+
+
 # ---------------------------------------------------------------------------
 # random mode
 # ---------------------------------------------------------------------------
@@ -171,17 +205,36 @@ def test_structured_suite_catches_an_all_ones_bug_without_randomness():
 
 
 def engine_stimulus(monkeypatch, circuit, **kwargs):
-    """The input columns ``verify_random`` hands to the engine."""
+    """The (vectors, inputs) stimulus ``verify_random`` hands to the
+    engine, joined across its chunks, and the number of chunks."""
     seen = []
 
     def recording(circuit, columns):
-        seen.append(columns)
+        assert list(columns) == list(circuit.inputs)
+        # contiguous uint8 columns, which the engine reads without gathering
+        for port, col in columns.items():
+            assert col.dtype == np.uint8 and col.flags.c_contiguous, port
+        seen.append(np.stack(list(columns.values()), axis=1))  # a copy
         return evaluate_batch(circuit, columns)
 
     monkeypatch.setattr(verify, "evaluate_batch", recording)
     verify_random(circuit, **kwargs)
-    (columns,) = seen
-    return columns
+    return np.concatenate(seen), len(seen)
+
+
+# A budget below one block's bytes: every chunk holds one block.
+_ONE_BLOCK = 1
+
+
+def chunk_counts(circuit, count):
+    """The chunks of a run of ``count`` random rows at the default budget
+    and at one block per chunk."""
+    rows = min(RANDOM_CHUNK_BYTES // len(circuit.inputs), RANDOM_CHUNK_ROWS)
+    per_chunk = rows // RANDOM_BLOCK_ROWS * RANDOM_BLOCK_ROWS
+    return {
+        RANDOM_CHUNK_BYTES: max(1, -(-count // per_chunk)),
+        _ONE_BLOCK: max(1, -(-count // RANDOM_BLOCK_ROWS)),
+    }
 
 
 _STIMULUS_BLOCKS = (
@@ -196,20 +249,20 @@ _STIMULUS_BLOCKS = (
 def test_random_stimulus_is_structured_rows_then_one_draw(monkeypatch, spec, count):
     circuit = build_block(spec)
     n = len(circuit.inputs)
-    columns = engine_stimulus(monkeypatch, circuit, seed=7, count=count)
-    assert list(columns) == list(circuit.inputs)
     draw = np.random.default_rng(7).integers(0, 2, size=(count, n), dtype=np.uint8)
     expected = np.concatenate([structured_rows(circuit), draw])
-    assert np.array_equal(np.stack(list(columns.values()), axis=1), expected)
-    # contiguous uint8 columns, which the engine reads without gathering
-    for port, col in columns.items():
-        assert col.dtype == np.uint8 and col.flags.c_contiguous, port
+    for budget, chunks in chunk_counts(circuit, count).items():
+        monkeypatch.setattr(verify, "RANDOM_CHUNK_BYTES", budget)
+        stimulus = engine_stimulus(monkeypatch, circuit, seed=7, count=count)
+        assert stimulus[1] == chunks
+        assert np.array_equal(stimulus[0], expected)
 
 
 def one_input_block():
-    # a registry name for its oracle; only the stimulus matters here
+    # a registry name for its oracle, which it passes, so that a run
+    # simulates every chunk of its stimulus
     b = new_circuit("sorter2", ["In1"])
-    b.set_output("Out1", b.inv(b.input("In1")))
+    b.set_output("Out1", b.inv(b.inv(b.input("In1"))))
     return b.seal()
 
 
@@ -237,32 +290,70 @@ def test_random_stream_is_one_integers_draw(monkeypatch, n, count, seed):
     # seeds and manifests name, whatever numpy does to `integers`.
     circuit = _STREAM_CIRCUITS[n]()
     assert len(circuit.inputs) == n
-    columns = engine_stimulus(monkeypatch, circuit, seed=seed, count=count)
-    drawn = np.stack(list(columns.values()), axis=1)[len(structured_rows(circuit)) :]
     draw = np.random.default_rng(seed).integers(0, 2, size=(count, n), dtype=np.uint8)
-    assert np.array_equal(drawn, draw)
+    for budget, chunks in chunk_counts(circuit, count).items():
+        monkeypatch.setattr(verify, "RANDOM_CHUNK_BYTES", budget)
+        stimulus = engine_stimulus(monkeypatch, circuit, seed=seed, count=count)
+        assert stimulus[1] == chunks
+        assert np.array_equal(stimulus[0][len(structured_rows(circuit)) :], draw)
 
 
-def test_random_counterexample_past_the_first_block_is_pinned():
+def test_random_counterexample_past_the_first_block_is_pinned(monkeypatch):
     # The group propagate p5_25 = p4_25 & p4_9 turned into an OR: the
     # top sum bits go wrong only on long carry chains, first met at
-    # random row 6910 of seed 0, past the first block of draws.
+    # random row 6910 of seed 0, past the first block of draws.  In
+    # chunks of two blocks that row is in the seventh chunk of eight, and
+    # the run stops there.
     adder = build_block(BlockSpec("kogge_stone", {"width": 32}))
     broken = with_kind(adder, "p5_25", GateKind.OR2)
     vector = np.random.default_rng(0).integers(
         0, 2, size=(6911, len(adder.inputs)), dtype=np.uint8
     )[6910]
-    report = verify_random(broken, seed=0, count=8000)
     index = 67 + 6910
-    assert index > report.structured_count + RANDOM_BLOCK_ROWS
-    assert report.status == "fail"
-    assert report.vectors_tried == report.structured_count + 8000
-    assert report.counterexample == {
-        "index": index,
-        "vector": dict(zip(adder.inputs, vector.tolist())),
-        "expected": {"a + b + cin": 3473568768},
-        "actual": {"s + 2^w*cout": 3406459904},
-    }
+    two_blocks = 2 * RANDOM_BLOCK_ROWS * len(adder.inputs)
+    for budget, chunks in ((RANDOM_CHUNK_BYTES, 1), (two_blocks, 7)):
+        monkeypatch.setattr(verify, "RANDOM_CHUNK_BYTES", budget)
+        calls = counting_engine(monkeypatch)
+        report = verify_random(broken, seed=0, count=8000)
+        assert index > report.structured_count + RANDOM_BLOCK_ROWS
+        assert len(calls) == chunks
+        assert report.status == "fail"
+        assert report.vectors_tried == report.structured_count + 8000
+        assert report.counterexample == {
+            "index": index,
+            "vector": dict(zip(adder.inputs, vector.tolist())),
+            "expected": {"a + b + cin": 3473568768},
+            "actual": {"s + 2^w*cout": 3406459904},
+        }
+
+
+def test_random_memory_follows_one_chunk(monkeypatch):
+    # Eight chunks of at most 2^20 stimulus bytes each, 8 MB in all: the
+    # run holds one chunk at a time.
+    circuit = build_block(BlockSpec("kogge_stone"))
+    budget = 1 << 20
+    monkeypatch.setattr(verify, "RANDOM_CHUNK_BYTES", budget)
+    rows = budget // (len(circuit.inputs) * RANDOM_BLOCK_ROWS) * RANDOM_BLOCK_ROWS
+    verify_random(circuit, count=1)  # compiles the op list
+    calls = counting_engine(monkeypatch)
+    tracemalloc.start()
+    try:
+        report = verify_random(circuit, seed=0, count=8 * rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and len(calls) == 8
+    assert peak < 3 * budget
+
+
+def test_narrow_random_chunks_stop_at_the_row_cap(monkeypatch):
+    # 2 inputs: the byte budget alone would allow 2^26 rows per chunk.
+    calls = counting_engine(monkeypatch)
+    report = verify_random(
+        build_block(BlockSpec("sorter2")), count=2 * RANDOM_CHUNK_ROWS + 1
+    )
+    assert report.ok
+    assert calls == [4 + RANDOM_CHUNK_ROWS, RANDOM_CHUNK_ROWS, 1]
 
 
 def test_fault_at_the_last_vector_of_a_65_vector_run_is_reported_there():
@@ -285,34 +376,66 @@ def test_fault_at_the_last_vector_of_a_65_vector_run_is_reported_there():
     assert report.counterexample["vector"] == dict(zip(adder.inputs, last.tolist()))
 
 
-def test_oversized_stimulus_is_refused_before_allocation(monkeypatch):
-    def no_allocation(*args, **kwargs):
-        raise AssertionError("allocated before refusing")
-
-    monkeypatch.setattr(np, "empty", no_allocation)
-    c = build_block(BlockSpec("sorter2"))
-    # 4 structured + 10^13 random vectors x 2 inputs, far past any host
-    with pytest.raises(NetlistError, match="20,000,000,000,008 bytes"):
-        verify_random(c, count=10**13)
-
-
-def test_failed_stimulus_allocation_is_refused(monkeypatch):
-    # Raised by a stub: a real oversized allocation could start the OOM killer.
-    def out_of_memory(*args, **kwargs):
-        raise MemoryError
-
-    monkeypatch.setattr(np, "empty", out_of_memory)
-    c = build_block(BlockSpec("sorter2"))
-    with pytest.raises(NetlistError, match="2,000,008 bytes, which could not"):
-        verify_random(c, count=10**6)
-
-
 def test_random_count_validation():
     c = build_block(BlockSpec("sorter2"))
     with pytest.raises(NetlistError):
         verify_random(c, count=-1)
     with pytest.raises(NetlistError, match="seed"):
         verify_random(c, seed=-1)
+
+
+# ---------------------------------------------------------------------------
+# verifier power: every live single-cell mutant fails (DeMillo, Lipton and
+# Sayward, "Hints on Test Data Selection", IEEE Computer 1978)
+# ---------------------------------------------------------------------------
+
+_SWAPS = {
+    GateKind.AND2: GateKind.OR2,
+    GateKind.OR2: GateKind.AND2,
+    GateKind.NAND2: GateKind.NOR2,
+    GateKind.NOR2: GateKind.NAND2,
+}
+
+
+def live_mutants(circuit):
+    """Each AND<->OR and NAND<->NOR swap of one live cell, a cell whose
+    output reaches an output net, keyed by the cell's net name."""
+    driver = {cell.out: cell for cell in circuit.cells}
+    live, nets = set(), list(circuit.output_nets)
+    while nets:
+        cell = driver.get(nets.pop())
+        if cell is not None and cell.out not in live:
+            live.add(cell.out)
+            nets.extend(cell.ins)
+    names = [circuit.net_names[cell.out] for cell in circuit.cells]
+    return {
+        name: with_kind(circuit, name, _SWAPS[cell.kind])
+        for name, cell in zip(names, circuit.cells)
+        if cell.out in live and cell.kind in _SWAPS
+    }
+
+
+@pytest.mark.parametrize(
+    "spec, live",
+    (
+        (BlockSpec("compressor72_proposed"), 42),
+        (BlockSpec("compressor72_cascade"), 55),
+        (BlockSpec("kogge_stone", {"width": 4}), 51),
+        # 439 swappable cells, of which 15 are dead: no output reads them
+        (BlockSpec("pipeline", {"cols": 8}), 424),
+    ),
+    ids=lambda v: v.label() if isinstance(v, BlockSpec) else str(v),
+)
+def test_every_live_cell_mutant_is_caught(spec, live):
+    circuit = build_block(spec)
+    mutants = live_mutants(circuit)
+    assert len(mutants) == live
+    if len(circuit.inputs) <= EXHAUSTIVE_INPUT_BOUND:
+        run = verify_exhaustive
+    else:
+        def run(mutant):
+            return verify_random(mutant, seed=0, count=1000)
+    assert [name for name, mutant in mutants.items() if run(mutant).ok] == []
 
 
 # ---------------------------------------------------------------------------
