@@ -5,150 +5,35 @@ a parallel-prefix merge adder, and the array harness that ties them
 together.
 """
 
-from .core import (
-    BuildError,
-    Cell,
-    Circuit,
-    CircuitBuilder,
-    Const,
-    GateKind,
-    Instance,
-    NetlistError,
-    NetRef,
-    new_circuit,
-    validate,
+from . import core, export, generators, simulate, timing, verify
+
+# Each public name, under the submodule that defines it.  Every
+# submodule is imported here, since tools that wrap gatelab's functions
+# look them up in sys.modules; simulate and verify import numpy only
+# inside the functions that use it, so importing the package loads no
+# numpy.
+_PUBLIC = {
+    core: """BuildError Cell Circuit CircuitBuilder Const GateKind Instance
+        NetlistError NetRef new_circuit validate""",
+    generators: """MIDDLE_PICKS REGISTRY BlockSpec GeneratorInfo ParameterError
+        ParamSpec adjusted_fa array_reducer build_block compressor72_cascade
+        compressor72_proposed half_sorter4 kogge_stone pipeline sfa sorter2
+        sorting_network4 traditional_fa""",
+    simulate: """SimulationError evaluate evaluate_batch exhaustive_columns
+        iter_exhaustive vector_at""",
+    verify: """EXHAUSTIVE_INPUT_BOUND ORACLES ExhaustiveBoundError Oracle
+        VerificationReport resolve_oracle structured_rows
+        verify_cout_independence verify_exhaustive verify_random""",
+    timing: """DEFAULT_MODEL AreaReport ArrivalMap ComparisonReport StageModel
+        area arrivals compare depth path_depth slack_to_input""",
+    export: """FormatError from_document from_json render to_document to_dot
+        to_json to_structural_hdl write_text""",
+}
+globals().update(
+    (name, getattr(module, name))
+    for module, names in _PUBLIC.items()
+    for name in names.split()
 )
-from .generators import (
-    MIDDLE_PICKS,
-    REGISTRY,
-    BlockSpec,
-    GeneratorInfo,
-    ParameterError,
-    ParamSpec,
-    adjusted_fa,
-    array_reducer,
-    build_block,
-    compressor72_cascade,
-    compressor72_proposed,
-    half_sorter4,
-    kogge_stone,
-    pipeline,
-    sfa,
-    sorter2,
-    sorting_network4,
-    traditional_fa,
-)
-from .simulate import (
-    SimulationError,
-    evaluate,
-    evaluate_batch,
-    exhaustive_columns,
-    iter_exhaustive,
-    vector_at,
-)
-from .verify import (
-    EXHAUSTIVE_INPUT_BOUND,
-    ORACLES,
-    ExhaustiveBoundError,
-    Oracle,
-    VerificationReport,
-    resolve_oracle,
-    structured_rows,
-    verify_cout_independence,
-    verify_exhaustive,
-    verify_random,
-)
-from .timing import (
-    DEFAULT_MODEL,
-    AreaReport,
-    ArrivalMap,
-    ComparisonReport,
-    StageModel,
-    area,
-    arrivals,
-    compare,
-    depth,
-    path_depth,
-    slack_to_input,
-)
-from .export import (
-    FormatError,
-    from_document,
-    from_json,
-    render,
-    to_document,
-    to_dot,
-    to_json,
-    to_structural_hdl,
-    write_text,
-)
+__all__ = sorted(name for names in _PUBLIC.values() for name in names.split())
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AreaReport",
-    "ArrivalMap",
-    "BlockSpec",
-    "BuildError",
-    "Cell",
-    "Circuit",
-    "CircuitBuilder",
-    "ComparisonReport",
-    "Const",
-    "DEFAULT_MODEL",
-    "EXHAUSTIVE_INPUT_BOUND",
-    "ExhaustiveBoundError",
-    "FormatError",
-    "GateKind",
-    "GeneratorInfo",
-    "Instance",
-    "MIDDLE_PICKS",
-    "NetRef",
-    "NetlistError",
-    "ORACLES",
-    "Oracle",
-    "ParamSpec",
-    "ParameterError",
-    "REGISTRY",
-    "SimulationError",
-    "StageModel",
-    "VerificationReport",
-    "adjusted_fa",
-    "area",
-    "array_reducer",
-    "arrivals",
-    "build_block",
-    "compare",
-    "compressor72_cascade",
-    "compressor72_proposed",
-    "depth",
-    "evaluate",
-    "evaluate_batch",
-    "exhaustive_columns",
-    "from_document",
-    "from_json",
-    "half_sorter4",
-    "iter_exhaustive",
-    "kogge_stone",
-    "new_circuit",
-    "path_depth",
-    "pipeline",
-    "render",
-    "resolve_oracle",
-    "sfa",
-    "slack_to_input",
-    "sorter2",
-    "sorting_network4",
-    "structured_rows",
-    "to_document",
-    "to_dot",
-    "to_json",
-    "to_structural_hdl",
-    "traditional_fa",
-    "validate",
-    "vector_at",
-    "verify_cout_independence",
-    "verify_exhaustive",
-    "verify_random",
-    "write_text",
-]

@@ -17,11 +17,12 @@ lexicographic order over input tuples.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from .core import GATE_FN, Circuit, NetlistError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class SimulationError(NetlistError):
@@ -32,8 +33,11 @@ def _stimulus(circuit: Circuit, columns: Mapping[str, object]) -> list[np.ndarra
     """The input columns as uint8 arrays in port order, after checking
     that they cover exactly the inputs, are 1-D, share one length and
     hold only 0 and 1."""
+    import numpy as np
+
+    inputs = set(circuit.inputs)
     missing = [p for p in circuit.inputs if p not in columns]
-    extra = [p for p in columns if p not in circuit.inputs]
+    extra = [p for p in columns if p not in inputs]
     if missing or extra:
         raise SimulationError(
             f"{circuit.name}: stimulus does not match inputs "
@@ -54,10 +58,6 @@ def _stimulus(circuit: Circuit, columns: Mapping[str, object]) -> list[np.ndarra
     if len({len(col) for col in cols}) > 1:
         raise SimulationError("input columns differ in length")
     return cols
-
-
-# The all-ones word: GATE_FN's inversion value for 64 packed vectors.
-_ONES = np.uint64(2**64 - 1)
 
 
 def _compile(circuit: Circuit) -> tuple[tuple, ...]:
@@ -106,6 +106,8 @@ def evaluate_batch(
     all arrays must share one length.  Returns uint8 output columns of
     the same length.
     """
+    import numpy as np
+
     cols = _stimulus(circuit, columns)
     length = len(cols[0])
     # Vector v sits at bit v % 64 of word v // 64, through each word's
@@ -114,7 +116,8 @@ def evaluate_batch(
     for row, col in zip(packed, cols):
         bits = np.packbits(col, bitorder="little")
         row[: bits.size] = bits
-    values = _run(circuit, list(packed.view(np.uint64)), _ONES)
+    # The all-ones word is GATE_FN's inversion value for 64 packed vectors.
+    values = _run(circuit, list(packed.view(np.uint64)), np.uint64(2**64 - 1))
     # An inversion sets the padding bits; count drops them.
     outs = np.stack([values[net] for net in circuit.output_nets]).view(np.uint8)
     bits = np.unpackbits(outs, axis=1, count=length, bitorder="little")
@@ -152,6 +155,8 @@ def exhaustive_columns(
     from the parity of ``start >> s`` taken as a Python int, so any index
     is exact, past 2^63 too.
     """
+    import numpy as np
+
     length = stop - start
     cols = np.empty((n_inputs, length), np.uint8)
     for s, col in zip(range(n_inputs - 1, -1, -1), cols):
@@ -169,13 +174,25 @@ def exhaustive_columns(
 
 def iter_exhaustive(circuit: Circuit) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
     """Yield (offset, input columns) chunks of 2^16 vectors covering all
-    2^n vectors."""
+    2^n vectors.
+
+    Every chunk is written into one reused (inputs, vectors) uint8
+    buffer, so a chunk's columns are overwritten by the next chunk.  The
+    columns of the inputs below bit 16 are the same in every chunk and
+    are written once; each chunk rewrites only the rows of the higher
+    inputs, which are constant within it.
+    """
+    import numpy as np
+
     n = len(circuit.inputs)
-    total, chunk = 1 << n, 1 << 16
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        cols = exhaustive_columns(n, start, stop)
-        yield start, {port: cols[i] for i, port in enumerate(circuit.inputs)}
+    low = min(n, 16)  # the last inputs, which hold the index bits below 16
+    chunk = 1 << low
+    buffer = np.empty((n, chunk), np.uint8)
+    buffer[n - low :] = exhaustive_columns(low, 0, chunk)
+    for start in range(0, 1 << n, chunk):
+        for i, row in enumerate(buffer[: n - low]):
+            row.fill((start >> (n - 1 - i)) & 1)
+        yield start, dict(zip(circuit.inputs, buffer))
 
 
 def vector_at(circuit: Circuit, index: int) -> dict[str, int]:
@@ -185,5 +202,4 @@ def vector_at(circuit: Circuit, index: int) -> dict[str, int]:
         raise SimulationError(
             f"{circuit.name}: index {index} outside [0, 2^{n})"
         )
-    cols = exhaustive_columns(n, index, index + 1)
-    return {port: int(col[0]) for port, col in zip(circuit.inputs, cols)}
+    return {port: (index >> (n - 1 - i)) & 1 for i, port in enumerate(circuit.inputs)}

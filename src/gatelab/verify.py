@@ -30,13 +30,14 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import SCHEMA_VERSION, Circuit, NetlistError
 from .generators import REGISTRY
 from .simulate import evaluate_batch, exhaustive_columns, iter_exhaustive
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXHAUSTIVE_INPUT_BOUND = 24
 PRNG_NAME = "numpy default_rng (PCG64)"
@@ -50,7 +51,7 @@ class ExhaustiveBoundError(NetlistError):
 # oracles
 # ---------------------------------------------------------------------------
 
-Columns = Mapping[str, np.ndarray]
+Columns = Mapping[str, "np.ndarray"]
 Values = Mapping[str, int]
 #: Port names -> the exponent e of each port's weight 2^e.
 Exponents = Callable[[Sequence[str]], dict[str, int]]
@@ -75,6 +76,8 @@ def _per_quantity(name: str, quantities: Callable) -> Oracle:
     """
 
     def check(ins: Columns, outs: Columns) -> np.ndarray:
+        import numpy as np
+
         expected, actual = quantities(_int64(ins), _int64(outs))
         return np.logical_and.reduce([expected[k] == actual[k] for k in expected])
 
@@ -82,10 +85,9 @@ def _per_quantity(name: str, quantities: Callable) -> Oracle:
 
 
 def _int64(cols: Columns) -> dict[str, np.ndarray]:
+    import numpy as np
+
     return {port: np.asarray(col, dtype=np.int64) for port, col in cols.items()}
-
-
-_CARRY_TYPES = (np.int8, np.int16, np.int32, np.int64)
 
 
 def _weighted(
@@ -98,6 +100,8 @@ def _weighted(
     """The oracle sum(in_p * 2^e_p) == sum(out_p * 2^e_p) over all ports."""
 
     def check(ins: Columns, outs: Columns) -> np.ndarray:
+        import numpy as np
+
         # Cancel the two sums one weight at a time, carrying the remainder
         # upward: a row fails when a remainder is odd or the last is not
         # zero.  Before weight e is shifted out, |carry| is at most the
@@ -110,7 +114,8 @@ def _weighted(
         for port, e in out_exponents(tuple(outs)).items():
             terms[e].append((outs[port], np.subtract))
         ports = sum(map(len, terms.values()))
-        dtype = next(t for t in _CARRY_TYPES if ports <= np.iinfo(t).max)
+        carry_types = (np.int8, np.int16, np.int32, np.int64)
+        dtype = next(t for t in carry_types if ports <= np.iinfo(t).max)
         carry = np.zeros(len(next(iter(ins.values()))), dtype)
         odd = np.zeros_like(carry)  # bit 0 set once any remainder was odd
         for e in range(max(terms) + 1):
@@ -272,6 +277,8 @@ def _first_failure(
     failure at row ``local`` of a chunk is vector ``offset + local``.
     No chunk after the failing one is simulated.
     """
+    import numpy as np
+
     for offset, columns in chunks:
         outs = evaluate_batch(circuit, columns)
         ok = oracle.check(columns, outs)
@@ -321,6 +328,8 @@ def structured_rows(circuit: Circuit) -> np.ndarray:
     The (rows, inputs) result is a view of a column-major array, so
     each input's column is contiguous.
     """
+    import numpy as np
+
     n = len(circuit.inputs)
     array = all(p.startswith("bit_") for p in circuit.inputs)
     column = list(_COLUMN(circuit.inputs).values()) if array else []
@@ -370,6 +379,8 @@ def _random_chunks(
     Random rows are drawn in blocks and written transposed, so no
     row-major copy of a chunk exists.
     """
+    import numpy as np
+
     n = len(circuit.inputs)
     most = min(RANDOM_CHUNK_BYTES // n, RANDOM_CHUNK_ROWS)  # rows a chunk may draw
     step = max(1, most // RANDOM_BLOCK_ROWS) * RANDOM_BLOCK_ROWS
@@ -435,6 +446,8 @@ def verify_cout_independence(circuit: Circuit) -> VerificationReport:
     Sweeps all 128 x-vectors against all four (Ci1, Ci2) pairs and
     compares the column carry-outs across pairs.
     """
+    import numpy as np
+
     xs = tuple(f"x{i}" for i in range(1, 8))
     cins = ("Ci1", "Ci2")
     missing = [p for p in xs + cins if p not in circuit.inputs]
