@@ -77,7 +77,10 @@ NetRef = Union[int, Const]
 #: it accepts back.
 SCHEMA_VERSION = "1"
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_/]*$")
+# Circuit and net names, matched whole; ports take no "/", which marks
+# the nets of an instance.
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_/]*")
+_PORT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -121,11 +124,6 @@ class Circuit:
     net_names: tuple[str, ...]
     instances: tuple[Instance, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_name_to_net", {n: i for i, n in enumerate(self.net_names)}
-        )
-
     def __getstate__(self) -> dict:
         # The engine's op list (simulate._compile), kept here after the
         # first evaluation, holds GATE_FN's lambdas, which do not pickle;
@@ -139,8 +137,8 @@ class Circuit:
     def net(self, name: str) -> int:
         """Net id for a net name (inputs are named by their port)."""
         try:
-            return self._name_to_net[name]  # type: ignore[attr-defined]
-        except KeyError:
+            return self.net_names.index(name)
+        except ValueError:
             raise NetlistError(f"{self.name}: no net named {name!r}") from None
 
     def output_net(self, port: str) -> int:
@@ -159,21 +157,28 @@ class Circuit:
 def validate(circuit: Circuit) -> list[str]:
     """Structural check; returns a list of violations (empty when clean).
 
-    Checks name sanity, port uniqueness, single drivers, gate arity and
-    that ``cells`` is in topological order (which also rules out cycles).
+    Checks the circuit, port and net names, port uniqueness, single
+    drivers, gate arity and that ``cells`` is in topological order (which
+    also rules out cycles).
     """
     errs: list[str] = []
     names = circuit.net_names
     n_inputs = len(circuit.inputs)
 
+    if not _NAME_RE.fullmatch(circuit.name):
+        errs.append(f"bad circuit name {circuit.name!r}")
     seen_ports: set[str] = set()
     for port in circuit.inputs + circuit.outputs:
         if port in seen_ports:
             errs.append(f"duplicate port name {port!r}")
         seen_ports.add(port)
     for port in circuit.inputs + circuit.outputs:
-        if not _NAME_RE.match(port) or "/" in port:
+        if not _PORT_RE.fullmatch(port):
             errs.append(f"bad port name {port!r}")
+    # Input nets carry their port's name, checked above.
+    for name in names[n_inputs:]:
+        if not _NAME_RE.fullmatch(name):
+            errs.append(f"bad net name {name!r}")
 
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
@@ -225,6 +230,17 @@ def validate(circuit: Circuit) -> list[str]:
     return errs
 
 
+def _unique(base: str, taken: set[str]) -> str:
+    """``base``, or ``base__k`` for the least k >= 2 that is not yet in
+    ``taken``; the name returned is added to ``taken``."""
+    name, k = base, 2
+    while name in taken:
+        name = f"{base}__{k}"
+        k += 1
+    taken.add(name)
+    return name
+
+
 def _check_ref(ref: NetRef, limit: int) -> None:
     if isinstance(ref, Const):
         return
@@ -243,13 +259,13 @@ class CircuitBuilder:
     """
 
     def __init__(self, name: str, inputs: Sequence[str]):
-        if not name or not _NAME_RE.match(name):
+        if not name or not _NAME_RE.fullmatch(name):
             raise BuildError(f"bad circuit name {name!r}")
         if not inputs:
             raise BuildError("a circuit needs at least one input")
         self._inputs: dict[str, int] = {}  # port -> net id, in declared order
         for port in inputs:
-            if not isinstance(port, str) or not _NAME_RE.match(port) or "/" in port:
+            if not isinstance(port, str) or not _PORT_RE.fullmatch(port):
                 raise BuildError(f"bad input name {port!r}")
             if port in self._inputs:
                 raise BuildError(f"duplicate input name {port!r}")
@@ -269,19 +285,10 @@ class CircuitBuilder:
         if self._sealed:
             raise BuildError(f"builder for {self.name!r} is already sealed")
 
-    def _fresh_name(self, base: str | None) -> str:
-        if base is None:
-            base = f"n{len(self._net_names)}"
-        name = base
-        k = 2
-        while name in self._used_names:
-            name = f"{base}__{k}"
-            k += 1
-        self._used_names.add(name)
-        return name
-
     def _new_net(self, name: str | None) -> int:
-        self._net_names.append(self._fresh_name(name))
+        if name is None:
+            name = f"n{len(self._net_names)}"
+        self._net_names.append(_unique(name, self._used_names))
         return len(self._net_names) - 1
 
     def input(self, port: str) -> int:
@@ -389,14 +396,7 @@ class CircuitBuilder:
         for ref in bindings.values():
             _check_ref(ref, len(self._net_names))
 
-        if name is None:
-            name = sub.name
-        inst = name
-        k = 2
-        while inst in self._inst_names:
-            inst = f"{name}__{k}"
-            k += 1
-        self._inst_names.add(inst)
+        inst = _unique(sub.name if name is None else name, self._inst_names)
 
         netmap: dict[int, NetRef] = {}
         for i, port in enumerate(sub.inputs):
@@ -422,7 +422,7 @@ class CircuitBuilder:
 
     def set_output(self, port: str, ref: NetRef) -> None:
         self._alive()
-        if not _NAME_RE.match(port) or "/" in port:
+        if not _PORT_RE.fullmatch(port):
             raise BuildError(f"bad output name {port!r}")
         if port in self._outputs or port in self._inputs:
             raise BuildError(f"port name {port!r} already in use")

@@ -208,7 +208,7 @@ def to_structural_hdl(circuit: Circuit) -> str:
     port_id = {port: _sanitize(port, taken) for port in circuit.outputs}
 
     lines = [f"module {_sanitize(circuit.name, set())} ("]
-    decls = [f"  input {net_id[circuit.net(p)]}" for p in circuit.inputs]
+    decls = [f"  input {net_id[net]}" for net in range(len(circuit.inputs))]
     decls += [f"  output {port_id[p]}" for p in circuit.outputs]
     lines.append(",\n".join(decls))
     lines.append(");")
@@ -243,10 +243,9 @@ def to_dot(circuit: Circuit, annotate: ArrivalMap | None = None) -> str:
 
     node_of: dict[int, str] = {}
     lines = [f'digraph "{circuit.name}" {{', "  rankdir=LR;"]
-    for k, port in enumerate(circuit.inputs):
-        net = circuit.net(port)
-        node_of[net] = f"i{k}"
-        lines.append(f'  i{k} [shape=ellipse, label="{port}{stamp(net)}"];')
+    for k, port in enumerate(circuit.inputs):  # input k is net k
+        node_of[k] = f"i{k}"
+        lines.append(f'  i{k} [shape=ellipse, label="{port}{stamp(k)}"];')
     for j, cell in enumerate(circuit.cells):
         node_of[cell.out] = f"c{j}"
         label = f"{cell.kind.name} {circuit.net_names[cell.out]}{stamp(cell.out)}"

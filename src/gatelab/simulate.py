@@ -144,31 +144,19 @@ def evaluate(circuit: Circuit, vector: Mapping[str, int]) -> dict[str, int]:
     }
 
 
-def exhaustive_columns(
-    n_inputs: int, start: int, stop: int
-) -> list[np.ndarray]:
-    """Input columns for vector indices [start, stop) in enumeration order,
-    as the rows of one (inputs, vectors) uint8 array.
+def exhaustive_columns(n_inputs: int) -> list[np.ndarray]:
+    """Input columns for all 2^n vectors in enumeration order, as the
+    rows of one (inputs, vectors) uint8 array.
 
-    Input i holds bit s = n - 1 - i of the index, which runs in blocks of
-    2^s equal values.  Each column is cut from that run pattern, starting
-    from the parity of ``start >> s`` taken as a Python int, so any index
-    is exact, past 2^63 too.
+    Input i holds bit s = n - 1 - i of the index, which runs in blocks
+    of 2^s zeros, then 2^s ones.
     """
     import numpy as np
 
-    length = stop - start
-    cols = np.empty((n_inputs, length), np.uint8)
+    cols = np.empty((n_inputs, 1 << n_inputs), np.uint8)
     for s, col in zip(range(n_inputs - 1, -1, -1), cols):
-        half = 1 << s
-        bit = (start >> s) & 1
-        skip = start & (half - 1)  # vectors of this run before start
-        if half >= length:  # at most one run boundary inside the range
-            col[:] = bit ^ 1
-            col[: half - skip] = bit
-        else:
-            runs = np.repeat(np.array([bit, bit ^ 1], np.uint8), half)
-            col[:] = np.tile(runs, -(-(skip + length) // (2 * half)))[skip:][:length]
+        runs = np.repeat(np.array([0, 1], np.uint8), 1 << s)
+        col[:] = np.tile(runs, 1 << (n_inputs - 1 - s))
     return list(cols)
 
 
@@ -188,10 +176,10 @@ def iter_exhaustive(circuit: Circuit) -> Iterator[tuple[int, dict[str, np.ndarra
     low = min(n, 16)  # the last inputs, which hold the index bits below 16
     chunk = 1 << low
     buffer = np.empty((n, chunk), np.uint8)
-    buffer[n - low :] = exhaustive_columns(low, 0, chunk)
+    buffer[n - low :] = exhaustive_columns(low)
     for start in range(0, 1 << n, chunk):
-        for i, row in enumerate(buffer[: n - low]):
-            row.fill((start >> (n - 1 - i)) & 1)
+        for row, bit in zip(buffer[: n - low], vector_at(circuit, start).values()):
+            row.fill(bit)
         yield start, dict(zip(circuit.inputs, buffer))
 
 

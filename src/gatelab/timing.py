@@ -15,7 +15,7 @@ input may show up later without stretching the output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 from .core import BASIC_KINDS, SCHEMA_VERSION, Circuit, GateKind, NetlistError
@@ -170,13 +170,7 @@ class AreaReport:
     total: int
 
     def to_dict(self) -> dict:
-        return {
-            "block": self.block,
-            "counts": self.counts,
-            "basic": self.basic,
-            "inverters": self.inverters,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
 def area(circuit: Circuit) -> AreaReport:
@@ -197,11 +191,7 @@ class ComparisonReport:
     blocks: list[dict]
 
     def to_dict(self) -> dict:
-        entry = {
-            "schema_version": SCHEMA_VERSION,
-            "model": {"inv_cost": self.model.inv_cost},
-            "blocks": self.blocks,
-        }
+        entry = {"schema_version": SCHEMA_VERSION, **asdict(self)}
         if len(self.blocks) == 2:
             a, b = self.blocks
             entry["delta"] = {

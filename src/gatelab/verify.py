@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import SCHEMA_VERSION, Circuit, NetlistError
@@ -51,6 +51,7 @@ class ExhaustiveBoundError(NetlistError):
 # oracles
 # ---------------------------------------------------------------------------
 
+#: Port names -> 1-D uint8 columns of 0/1 values, one row per vector.
 Columns = Mapping[str, "np.ndarray"]
 Values = Mapping[str, int]
 #: Port names -> the exponent e of each port's weight 2^e.
@@ -60,7 +61,12 @@ Exponents = Callable[[Sequence[str]], dict[str, int]]
 @dataclass(frozen=True)
 class Oracle:
     """A named semantic contract: a vectorized pass mask plus a per-vector
-    expected/actual explanation used in counterexample reports."""
+    expected/actual explanation used in counterexample reports.
+
+    ``check`` takes the input and output :data:`Columns` as verification
+    hands them over, uint8 columns of 0/1 values, and computes on them
+    without copying them to a wider type.
+    """
 
     name: str
     check: Callable[[Columns, Columns], np.ndarray]
@@ -70,24 +76,20 @@ class Oracle:
 def _per_quantity(name: str, quantities: Callable) -> Oracle:
     """An oracle from ``quantities(ins, outs) -> (expected, actual)``.
 
-    The same arithmetic runs on int64 columns in ``check`` and on one
-    vector's ints in ``explain``; a row passes when every expected
-    quantity equals the actual one of the same name.
+    The same arithmetic runs on the uint8 columns in ``check`` and on one
+    vector's ints in ``explain``, so each quantity must fit in uint8 (the
+    sorters and full adders checked this way have at most 4 inputs); a
+    row passes when every expected quantity equals the actual one of the
+    same name.
     """
 
     def check(ins: Columns, outs: Columns) -> np.ndarray:
         import numpy as np
 
-        expected, actual = quantities(_int64(ins), _int64(outs))
+        expected, actual = quantities(ins, outs)
         return np.logical_and.reduce([expected[k] == actual[k] for k in expected])
 
     return Oracle(name, check, quantities)
-
-
-def _int64(cols: Columns) -> dict[str, np.ndarray]:
-    import numpy as np
-
-    return {port: np.asarray(col, dtype=np.int64) for port, col in cols.items()}
 
 
 def _weighted(
@@ -185,34 +187,37 @@ def _full_adder(ins: Values, outs: Values):
 
 
 ORACLES: dict[str, Oracle] = {
-    "sorter": _per_quantity("sorter", _sorter),
-    "half_sorter": _per_quantity("half_sorter", _half_sorter),
-    "full_adder": _per_quantity("full_adder", _full_adder),
-    "sfa": _weighted(
-        "sfa", "total", _UNIT, "2*Carry + Sum + W", _fixed(Carry=1, Sum=0, W=0)
-    ),
-    "compressor72": _weighted(
-        "compressor72",
-        "total",
-        _UNIT,
-        "Sum + 2*Carry + 2*Co1 + 4*Co2",
-        _fixed(Sum=0, Carry=1, Co1=1, Co2=2),
-    ),
-    "adder": _weighted(
-        "adder",
-        "a + b + cin",
-        _each(lambda port: 0 if port == "cin" else int(port[1:])),
-        "s + 2^w*cout",
-        _adder_outputs,
-    ),
-    "reducer": _weighted(
-        "reducer",
-        "array total",
-        _COLUMN,
-        "two-row total",
-        _each(lambda port: int(port[1:]) + (port[0] == "y")),  # y<c> sits one up
-    ),
-    "pipeline": _weighted("pipeline", "sum of rows", _COLUMN, "merged value", _INDEX),
+    oracle.name: oracle
+    for oracle in (
+        _per_quantity("sorter", _sorter),
+        _per_quantity("half_sorter", _half_sorter),
+        _per_quantity("full_adder", _full_adder),
+        _weighted(
+            "sfa", "total", _UNIT, "2*Carry + Sum + W", _fixed(Carry=1, Sum=0, W=0)
+        ),
+        _weighted(
+            "compressor72",
+            "total",
+            _UNIT,
+            "Sum + 2*Carry + 2*Co1 + 4*Co2",
+            _fixed(Sum=0, Carry=1, Co1=1, Co2=2),
+        ),
+        _weighted(
+            "adder",
+            "a + b + cin",
+            _each(lambda port: 0 if port == "cin" else int(port[1:])),
+            "s + 2^w*cout",
+            _adder_outputs,
+        ),
+        _weighted(
+            "reducer",
+            "array total",
+            _COLUMN,
+            "two-row total",
+            _each(lambda port: int(port[1:]) + (port[0] == "y")),  # y<c> sits one up
+        ),
+        _weighted("pipeline", "sum of rows", _COLUMN, "merged value", _INDEX),
+    )
 }
 
 
@@ -229,39 +234,28 @@ def resolve_oracle(circuit: Circuit) -> Oracle:
 # reports
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(kw_only=True)
 class VerificationReport:
+    """One verification run; the fields are the JSON keys, in order."""
+
     block: str
     oracle: str
     mode: str
     inputs: int
     vectors_tried: int
-    status: str
-    counterexample: dict | None = None
     prng: str | None = None
     seed: int | None = None
     structured_count: int | None = None
     random_count: int | None = None
+    status: str
+    counterexample: dict | None = None
 
     @property
     def ok(self) -> bool:
         return self.status == "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "block": self.block,
-            "oracle": self.oracle,
-            "mode": self.mode,
-            "inputs": self.inputs,
-            "vectors_tried": self.vectors_tried,
-            "prng": self.prng,
-            "seed": self.seed,
-            "structured_count": self.structured_count,
-            "random_count": self.random_count,
-            "status": self.status,
-            "counterexample": self.counterexample,
-        }
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -361,8 +355,9 @@ RANDOM_BLOCK_ROWS = 512
 # (pipeline(cols=1024), 100k vectors: 2.7 s at 406 MB peak RSS, against
 # 2.0 s at 601 MB with 2^28 bytes).  The row cap binds below 1,024
 # inputs, where the engine and the oracle hold more per row than the
-# stimulus (sorter2: 61 bytes a row, as int64 columns).  Both keep the
-# 224-input array's 100k vectors in one chunk.
+# stimulus (tracemalloc peaks a row: sorter2 25 bytes against its 2 of
+# stimulus, sorting_network4 and half_sorter4 49, traditional_fa 12).
+# Both keep the 224-input array's 100k vectors in one chunk.
 RANDOM_CHUNK_BYTES = 1 << 27
 RANDOM_CHUNK_ROWS = 1 << 17
 
@@ -458,7 +453,7 @@ def verify_cout_independence(circuit: Circuit) -> VerificationReport:
         )
     # Row 4*x + pair holds x-vector x with carry-in pair `pair`.
     columns = {p: np.zeros(512, np.uint8) for p in circuit.inputs}
-    columns.update(zip(xs + cins, exhaustive_columns(9, 0, 512)))
+    columns.update(zip(xs + cins, exhaustive_columns(9)))
     outs = evaluate_batch(circuit, columns)
 
     co = {k: np.asarray(outs[k]).reshape(128, 4) for k in ("Co1", "Co2")}

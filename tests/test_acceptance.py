@@ -103,7 +103,7 @@ def test_criterion_3_exhaustive_correctness(criterion):
         report = verify_exhaustive(block)
         if not report.ok or report.vectors_tried != 8:
             problems.append(f"{block.name}: {report.status}")
-    stim = dict(zip(("A", "B", "C"), exhaustive_columns(3, 0, 8)))
+    stim = dict(zip(("A", "B", "C"), exhaustive_columns(3)))
     if any(
         not np.array_equal(
             evaluate_batch(traditional_fa(), stim)[port],
@@ -273,7 +273,7 @@ def test_criterion_6_round_trip_stability(criterion):
         rebuilt = from_json(to_json(block))
         n = len(block.inputs)
         if n <= 12:
-            stim = dict(zip(block.inputs, exhaustive_columns(n, 0, 1 << n)))
+            stim = dict(zip(block.inputs, exhaustive_columns(n)))
         else:
             rng = np.random.default_rng(0)
             stim = {

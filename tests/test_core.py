@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from gatelab.core import (
@@ -345,3 +347,20 @@ def test_validate_flags_arity_violation():
         output_nets=(1,),
     )
     assert any("takes" in p for p in validate(bad))
+
+
+def test_validate_flags_bad_names():
+    inv = (Cell(GateKind.INV, (0,), 1),)
+    assert validate(_circuit(inv, ("a", "n1"))) == []
+    assert validate(_circuit(inv, ("a", 'n"1'))) == ["bad net name 'n\"1'"]
+    assert validate(_circuit(inv, ("a", "n1\n"))) == ["bad net name 'n1\\n'"]
+    assert validate(_circuit(inv, ("a", "n1"), outputs=("o\n",))) == [
+        "bad port name 'o\\n'"
+    ]
+    named = dataclasses.replace(_circuit(inv, ("a", "n1")), name='evil" ] ; x')
+    assert validate(named) == ["bad circuit name 'evil\" ] ; x'"]
+    # a gate's name= reaches the net names, which seal checks
+    b, a, _ = build_pair()
+    b.set_output("o", b.inv(a, name="x y"))
+    with pytest.raises(BuildError, match="bad net name 'x y'"):
+        b.seal()

@@ -46,7 +46,7 @@ def assert_equivalent(c1: Circuit, c2: Circuit, seed: int = 0) -> None:
     """Exhaustive up to 12 inputs, 1000 seeded vectors beyond."""
     n = len(c1.inputs)
     if n <= 12:
-        cols = exhaustive_columns(n, 0, 1 << n)
+        cols = exhaustive_columns(n)
         mat = {p: cols[i] for i, p in enumerate(c1.inputs)}
     else:
         rng = np.random.default_rng(seed)
@@ -153,6 +153,17 @@ def test_outputs_must_reference_defined_nets():
     doc = to_document(sorter2())
     doc["outputs"][0]["net"] = "ghost"
     with pytest.raises(FormatError, match="ghost"):
+        from_json(json.dumps(doc))
+
+
+def test_names_that_would_break_dot_are_rejected():
+    doc = to_document(sorter2())
+    doc["name"] = 'evil" ] ; x'
+    with pytest.raises(FormatError, match="bad circuit name"):
+        from_json(json.dumps(doc))
+    doc = to_document(sorter2())
+    doc["cells"][0]["output"] = doc["outputs"][0]["net"] = 'n"1'
+    with pytest.raises(FormatError, match="bad net name"):
         from_json(json.dumps(doc))
 
 

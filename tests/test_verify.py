@@ -121,7 +121,7 @@ def test_exhaustive_chunking_matches_single_shot():
     # index 2^16 + 2^8, in the second chunk.
     adder = build_block(BlockSpec("kogge_stone", {"width": 8}))
     broken = with_kind(adder, "n18", GateKind.NOR2)
-    columns = dict(zip(adder.inputs, exhaustive_columns(17, 0, 1 << 17)))
+    columns = dict(zip(adder.inputs, exhaustive_columns(17)))
     single_shot = ORACLES["adder"].check(columns, evaluate_batch(broken, columns))
     assert int(np.argmin(single_shot)) == 65_792
     report = verify_exhaustive(broken)
@@ -348,12 +348,20 @@ def test_random_memory_follows_one_chunk(monkeypatch):
 
 def test_narrow_random_chunks_stop_at_the_row_cap(monkeypatch):
     # 2 inputs: the byte budget alone would allow 2^26 rows per chunk.
+    circuit = build_block(BlockSpec("sorter2"))
+    verify_random(circuit, count=1)  # compiles the op list
     calls = counting_engine(monkeypatch)
-    report = verify_random(
-        build_block(BlockSpec("sorter2")), count=2 * RANDOM_CHUNK_ROWS + 1
-    )
+    tracemalloc.start()
+    try:
+        report = verify_random(circuit, count=2 * RANDOM_CHUNK_ROWS + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert report.ok
     assert calls == [4 + RANDOM_CHUNK_ROWS, RANDOM_CHUNK_ROWS, 1]
+    # The oracle checks the uint8 columns it is given; int64 copies of
+    # them took a chunk to about 61 bytes a row.
+    assert peak < 40 * RANDOM_CHUNK_ROWS
 
 
 def test_fault_at_the_last_vector_of_a_65_vector_run_is_reported_there():
@@ -591,11 +599,18 @@ def test_resolve_oracle_paths(monkeypatch):
 def test_report_json_shape():
     c = build_block(BlockSpec("sorter2"))
     doc = json.loads(verify_exhaustive(c).to_json())
+    keys = [
+        "schema_version", "block", "oracle", "mode", "inputs", "vectors_tried",
+        "prng", "seed", "structured_count", "random_count", "status",
+        "counterexample",
+    ]
+    assert list(doc) == keys
     assert doc["schema_version"] == "1"
     assert doc["block"] == "sorter2"
     assert doc["mode"] == "exhaustive"
     assert doc["prng"] is None and doc["seed"] is None
     rnd = json.loads(verify_random(c, seed=9, count=5).to_json())
+    assert list(rnd) == keys
     assert rnd["prng"] == "numpy default_rng (PCG64)"
     assert rnd["seed"] == 9
     assert rnd["structured_count"] == 4
