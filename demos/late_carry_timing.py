@@ -9,7 +9,6 @@ plain structure.  Arrival overrides make the effect measurable.
 """
 
 from gatelab import (
-    StageModel,
     adjusted_fa,
     arrivals,
     path_depth,
@@ -46,5 +45,4 @@ for block in (plain, adj):
 
 # charging inverters one stage shifts every profile by the inverter
 # count on the critical path
-model = StageModel(inv_cost=1)
-print("adjusted_fa under inv_cost=1:", dict(arrivals(adj, model).output_arrival))
+print("adjusted_fa under inv_cost=1:", dict(arrivals(adj, inv_cost=1).output_arrival))

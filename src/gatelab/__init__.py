@@ -14,7 +14,7 @@ from . import core, export, generators, simulate, timing, verify
 # numpy.
 _PUBLIC = {
     core: """BuildError Cell Circuit CircuitBuilder Const GateKind Instance
-        NetlistError NetRef new_circuit validate""",
+        NetlistError NetRef validate""",
     generators: """MIDDLE_PICKS REGISTRY BlockSpec GeneratorInfo ParameterError
         ParamSpec adjusted_fa array_reducer build_block compressor72_cascade
         compressor72_proposed half_sorter4 kogge_stone pipeline sfa sorter2
@@ -24,8 +24,8 @@ _PUBLIC = {
     verify: """EXHAUSTIVE_INPUT_BOUND ORACLES ExhaustiveBoundError Oracle
         VerificationReport resolve_oracle structured_rows
         verify_cout_independence verify_exhaustive verify_random""",
-    timing: """DEFAULT_MODEL AreaReport ArrivalMap ComparisonReport StageModel
-        area arrivals compare depth path_depth slack_to_input""",
+    timing: """AreaReport ArrivalMap ComparisonReport area arrivals compare depth
+        path_depth slack_to_input""",
     export: """FormatError from_document from_json render to_document to_dot
         to_json to_structural_hdl write_text""",
 }

@@ -1,4 +1,5 @@
-"""Command-line surface for building, verifying, timing, and exporting.
+"""Command-line surface: build, verify, depth and compare.  The stage
+model of depth and compare has one setting, --inv-cost (0 or 1).
 
 Machine-readable JSON goes to stdout (or --out); human-readable
 status and tables go to stderr.  Exit codes: 0 success or pass, 1
@@ -9,7 +10,7 @@ chunks of bounded size, so --count bounds its run time, not its memory.
 
 Identical invocations produce byte-identical JSON, so reports can be
 diffed across runs.  Passing --manifest writes a RunManifest JSON
-recording the argument vector, block specs, seeds, and stage model;
+recording the argument vector, block specs, seeds, and inv_cost;
 re-running the recorded argv reproduces the reports byte for byte.
 """
 
@@ -23,7 +24,7 @@ from . import __version__
 from .core import SCHEMA_VERSION, NetlistError
 from .export import FORMATS, render, write_text
 from .generators import REGISTRY, BlockSpec, ParameterError, ParamSpec, build_block
-from .timing import StageModel, arrivals, compare
+from .timing import arrivals, compare
 from .verify import (
     EXHAUSTIVE_INPUT_BOUND,
     verify_cout_independence,
@@ -31,20 +32,12 @@ from .verify import (
     verify_random,
 )
 
-_EXTENSION = {"json": "json", "hdl": "v", "dot": "dot"}
-
 
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--schema-version",
-        default=SCHEMA_VERSION,
-        dest="schema_version",
-        help="report schema expected by the caller (default %(default)s)",
-    )
     parser.add_argument(
         "--out",
         default=None,
@@ -157,7 +150,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     annotate = arrivals(circuit) if (args.format == "dot" and args.annotate) else None
     text = render(circuit, args.format, annotate)
     if args.out is None:
-        args.out = f"{spec.generator}.{_EXTENSION[args.format]}"
+        args.out = f"{spec.generator}.{FORMATS[args.format]}"
     _emit(args, text)
     _write_manifest(args, [spec], {"format": args.format})
     return 0
@@ -201,26 +194,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_depth(args: argparse.Namespace) -> int:
     spec = _block_spec(args, args.block, strict=True)
     circuit = build_block(spec)
-    model = StageModel(inv_cost=args.inv_cost)
     given = _parse_arrivals(args.arrival)
-    amap = arrivals(circuit, model, given)
+    amap = arrivals(circuit, args.inv_cost, given)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "block": spec.label(),
-        "model": {"inv_cost": model.inv_cost},
+        "model": {"inv_cost": amap.inv_cost},
         "input_arrivals": amap.input_arrivals,
         "outputs": dict(amap.output_arrival),
         "depth": amap.depth,
         "critical_nets": amap.critical_nets(),
     }
-    lines = [f"{spec.label()}: depth {amap.depth} (inv_cost={model.inv_cost})"]
+    lines = [f"{spec.label()}: depth {amap.depth} (inv_cost={amap.inv_cost})"]
     for port, stage in amap.output_arrival.items():
         lines.append(f"  {port}: {stage}")
     _emit(args, json.dumps(doc, indent=2) + "\n", note="\n".join(lines))
     _write_manifest(
         args,
         [spec],
-        {"model": {"inv_cost": model.inv_cost}, "input_arrivals": given},
+        {"model": {"inv_cost": amap.inv_cost}, "input_arrivals": given},
     )
     return 0
 
@@ -230,10 +222,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ParameterError("compare needs at least two blocks")
     specs = [_block_spec(args, name, strict=False) for name in args.blocks]
     circuits = [build_block(spec) for spec in specs]
-    model = StageModel(inv_cost=args.inv_cost)
-    report = compare(circuits, model)
+    report = compare(circuits, args.inv_cost)
     _emit(args, report.to_json(), note=report.to_text())
-    _write_manifest(args, specs, {"model": {"inv_cost": model.inv_cost}})
+    _write_manifest(args, specs, {"model": {"inv_cost": report.inv_cost}})
     return 0
 
 
@@ -251,22 +242,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     known = ", ".join(sorted(REGISTRY))
 
-    for cmd in ("build", "export"):
-        p = sub.add_parser(
-            cmd,
-            help="generate a block and write it in a chosen format",
-            description=f"known blocks: {known}",
-        )
-        p.add_argument("block")
-        p.add_argument("--format", choices=FORMATS, default="json")
-        p.add_argument(
-            "--annotate",
-            action="store_true",
-            help="stamp stage arrivals on dot nodes",
-        )
-        _add_block_flags(p)
-        _add_common(p)
-        p.set_defaults(func=cmd_build)
+    p = sub.add_parser(
+        "build",
+        help="generate a block and write it in a chosen format",
+        description=f"known blocks: {known}",
+    )
+    p.add_argument("block")
+    p.add_argument("--format", choices=FORMATS, default="json")
+    p.add_argument(
+        "--annotate",
+        action="store_true",
+        help="stamp stage arrivals on dot nodes",
+    )
+    _add_block_flags(p)
+    _add_common(p)
+    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser(
         "verify",
@@ -331,13 +321,6 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     args.tokens = tokens
-    if args.schema_version != SCHEMA_VERSION:
-        print(
-            f"error: unsupported schema version {args.schema_version!r}; "
-            f"this tool emits {SCHEMA_VERSION!r}",
-            file=sys.stderr,
-        )
-        return 2
     try:
         return args.func(args)
     except NetlistError as exc:

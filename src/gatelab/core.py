@@ -259,7 +259,7 @@ class CircuitBuilder:
     """
 
     def __init__(self, name: str, inputs: Sequence[str]):
-        if not name or not _NAME_RE.fullmatch(name):
+        if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
             raise BuildError(f"bad circuit name {name!r}")
         if not inputs:
             raise BuildError("a circuit needs at least one input")
@@ -422,7 +422,7 @@ class CircuitBuilder:
 
     def set_output(self, port: str, ref: NetRef) -> None:
         self._alive()
-        if not _PORT_RE.fullmatch(port):
+        if not isinstance(port, str) or not _PORT_RE.fullmatch(port):
             raise BuildError(f"bad output name {port!r}")
         if port in self._outputs or port in self._inputs:
             raise BuildError(f"port name {port!r} already in use")
@@ -455,8 +455,3 @@ class CircuitBuilder:
             )
         self._sealed = True
         return circuit
-
-
-def new_circuit(name: str, inputs: Sequence[str]) -> CircuitBuilder:
-    """Start a new circuit with the given input ports."""
-    return CircuitBuilder(name, inputs)

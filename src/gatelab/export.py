@@ -279,7 +279,8 @@ def write_text(path: str, text: str) -> None:
         raise
 
 
-FORMATS = ("json", "hdl", "dot")
+#: Each format ``render`` writes, with the file extension it is saved under.
+FORMATS = {"json": "json", "hdl": "v", "dot": "dot"}
 
 
 def render(circuit: Circuit, fmt: str, annotate: ArrivalMap | None = None) -> str:
@@ -289,4 +290,4 @@ def render(circuit: Circuit, fmt: str, annotate: ArrivalMap | None = None) -> st
         return to_structural_hdl(circuit)
     if fmt == "dot":
         return to_dot(circuit, annotate)
-    raise FormatError(f"unknown format {fmt!r}; choose from {FORMATS}")
+    raise FormatError(f"unknown format {fmt!r}; choose from {tuple(FORMATS)}")

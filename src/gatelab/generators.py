@@ -21,10 +21,8 @@ from .core import (
     Circuit,
     CircuitBuilder,
     Const,
-    GateKind,
     NetlistError,
     NetRef,
-    new_circuit,
 )
 
 
@@ -41,7 +39,7 @@ MIDDLE_PICKS = ("first", "second")
 
 def sorter2() -> Circuit:
     """1-bit compare-exchange: Out1 = max (OR), Out2 = min (AND)."""
-    b = new_circuit("sorter2", ["In1", "In2"])
+    b = CircuitBuilder("sorter2", ["In1", "In2"])
     a, c = b.input("In1"), b.input("In2")
     b.set_output("Out1", b.or_(a, c, name="hi"))
     b.set_output("Out2", b.and_(a, c, name="lo"))
@@ -56,7 +54,7 @@ def half_sorter4() -> Circuit:
     w1 >= w2 >= w4 and w1 >= w3 >= w4 while {w2, w3} keeps the two
     middle values as a multiset.
     """
-    b = new_circuit("half_sorter4", ["i1", "i2", "i3", "i4"])
+    b = CircuitBuilder("half_sorter4", ["i1", "i2", "i3", "i4"])
     s = sorter2()
     p = b.instantiate(s, {"In1": b.input("i1"), "In2": b.input("i2")}, name="pair12")
     q = b.instantiate(s, {"In1": b.input("i3"), "In2": b.input("i4")}, name="pair34")
@@ -71,7 +69,7 @@ def half_sorter4() -> Circuit:
 
 def sorting_network4() -> Circuit:
     """Full 4-bit sorting network: half sorter plus a middle exchange."""
-    b = new_circuit("sorting_network4", ["i1", "i2", "i3", "i4"])
+    b = CircuitBuilder("sorting_network4", ["i1", "i2", "i3", "i4"])
     half = b.instantiate(
         half_sorter4(), {p: b.input(p) for p in ("i1", "i2", "i3", "i4")}, name="half"
     )
@@ -99,7 +97,7 @@ def sfa(middle_pick: str = "first") -> Circuit:
     """
     if middle_pick not in MIDDLE_PICKS:
         raise ParameterError(f"middle_pick must be one of {MIDDLE_PICKS}")
-    b = new_circuit("sfa", ["i1", "i2", "i3", "i4"])
+    b = CircuitBuilder("sfa", ["i1", "i2", "i3", "i4"])
     half = b.instantiate(
         half_sorter4(), {p: b.input(p) for p in ("i1", "i2", "i3", "i4")}, name="sort"
     )
@@ -117,7 +115,7 @@ def sfa(middle_pick: str = "first") -> Circuit:
 
 def traditional_fa() -> Circuit:
     """Majority-carry full adder: Carry = AB + AC + BC, Sum via two XORs."""
-    b = new_circuit("traditional_fa", ["A", "B", "C"])
+    b = CircuitBuilder("traditional_fa", ["A", "B", "C"])
     a, bb, c = b.input("A"), b.input("B"), b.input("C")
     carry = b.or_(
         b.or_(b.and_(a, bb, name="ab"), b.and_(a, c, name="ac")),
@@ -138,7 +136,7 @@ def adjusted_fa() -> Circuit:
     so the C-to-Sum and C-to-Carry paths are both 2 stages long and C
     may trail A and B without stretching the Sum arrival.
     """
-    b = new_circuit("adjusted_fa", ["A", "B", "C"])
+    b = CircuitBuilder("adjusted_fa", ["A", "B", "C"])
     a, bb, c = b.input("A"), b.input("B"), b.input("C")
     h1 = b.or_(a, bb, name="h1")
     h2 = b.and_(a, bb, name="h2")
@@ -157,7 +155,7 @@ def kogge_stone(width: int = 8) -> Circuit:
     names = [f"a{i}" for i in range(width)]
     names += [f"b{i}" for i in range(width)]
     names.append("cin")
-    b = new_circuit("kogge_stone", names)
+    b = CircuitBuilder("kogge_stone", names)
     a_bits = [b.input(f"a{i}") for i in range(width)]
     b_bits = [b.input(f"b{i}") for i in range(width)]
     cin = b.input("cin")
@@ -200,7 +198,7 @@ def compressor72_proposed(middle_pick: str = "first") -> Circuit:
     the final adjusted adder and mid.Sum its late select input C, so
     every output settles within 10 stages of the inputs.
     """
-    b = new_circuit("compressor72_proposed", list(COMPRESSOR_INPUTS))
+    b = CircuitBuilder("compressor72_proposed", list(COMPRESSOR_INPUTS))
     x = {i: b.input(f"x{i}") for i in range(1, 8)}
     afa = adjusted_fa()
 
@@ -238,7 +236,7 @@ def compressor72_cascade() -> Circuit:
     Same port contract as the proposed block; the serial XOR chains put
     the Sum output 12 stages from the inputs.
     """
-    b = new_circuit("compressor72_cascade", list(COMPRESSOR_INPUTS))
+    b = CircuitBuilder("compressor72_cascade", list(COMPRESSOR_INPUTS))
     x = {i: b.input(f"x{i}") for i in range(1, 8)}
     fa = traditional_fa()
 
@@ -264,20 +262,16 @@ def compressor72_cascade() -> Circuit:
     return b.seal()
 
 
-_COMPRESSORS: dict[str, Callable[..., Circuit]] = {
-    "compressor72_proposed": compressor72_proposed,
-    "compressor72_cascade": compressor72_cascade,
-}
-
-
 def _resolve_compressor(compressor: str, middle_pick: str) -> Circuit:
+    """The column compressor named in ``_COMP``, built by its registry
+    factory with ``middle_pick`` when it takes one."""
     if middle_pick not in MIDDLE_PICKS:
         raise ParameterError(f"middle_pick must be one of {MIDDLE_PICKS}")
-    if not isinstance(compressor, str) or compressor not in _COMPRESSORS:
-        raise ParameterError(f"compressor must be one of {sorted(_COMPRESSORS)}")
-    if compressor == "compressor72_proposed":
-        return compressor72_proposed(middle_pick)
-    return _COMPRESSORS[compressor]()
+    if compressor not in _COMP.choices:
+        raise ParameterError(f"compressor must be one of {list(_COMP.choices)}")
+    info = REGISTRY[compressor]
+    picks = {"middle_pick": middle_pick} if "middle_pick" in info.params else {}
+    return info.factory(**picks)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +287,7 @@ def _array(
     if not isinstance(cols, int) or isinstance(cols, bool) or cols < 1:
         raise ParameterError("cols must be a positive integer")
     comp = _resolve_compressor(compressor, middle_pick)
-    b = new_circuit(name, [f"bit_{r}_{c}" for r in range(7) for c in range(cols)])
+    b = CircuitBuilder(name, [f"bit_{r}_{c}" for r in range(7) for c in range(cols)])
 
     outs: list[dict[str, NetRef]] = []
     for c in range(cols + 2):
@@ -397,7 +391,9 @@ _PICK = ParamSpec(
     str, MIDDLE_PICKS, "which middle wire of the half sorter becomes the carry"
 )
 _COMP = ParamSpec(
-    str, tuple(sorted(_COMPRESSORS)), "column compressor used by array blocks"
+    str,
+    ("compressor72_cascade", "compressor72_proposed"),  # sorted, as errors list them
+    "column compressor used by array blocks",
 )
 _COLS = ParamSpec(int, help="array columns")
 

@@ -3,7 +3,8 @@
 Timing uses a unit stage model: every 2-input gate costs one stage
 and inverters are free by default (``inv_cost=0``), since a fanin-1
 negation folds into the neighbouring cell in most standard-cell
-flows.  Set ``inv_cost=1`` to count them.
+flows.  Pass ``inv_cost=1`` to count them; that int is the model's
+only setting.
 
 Arrival times are longest-path stage counts from the inputs, all of
 which launch at stage 0 unless per-input arrivals are given.  Slack
@@ -23,25 +24,6 @@ from .core import BASIC_KINDS, SCHEMA_VERSION, Circuit, GateKind, NetlistError
 _NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
-class StageModel:
-    """Per-kind stage costs; only the inverter cost is adjustable."""
-
-    inv_cost: int = 0
-
-    def __post_init__(self) -> None:
-        if self.inv_cost not in (0, 1):
-            raise NetlistError(f"inv_cost must be 0 or 1, got {self.inv_cost!r}")
-
-    def cost(self, kind: GateKind) -> int:
-        if kind is GateKind.INV:
-            return self.inv_cost
-        return 1
-
-
-DEFAULT_MODEL = StageModel()
-
-
 # ---------------------------------------------------------------------------
 # arrival analysis
 # ---------------------------------------------------------------------------
@@ -49,7 +31,7 @@ DEFAULT_MODEL = StageModel()
 @dataclass
 class ArrivalMap:
     circuit: Circuit
-    model: StageModel
+    inv_cost: int
     input_arrivals: dict[str, int]
     net_arrival: list[int] = field(repr=False)
     output_arrival: dict[str, int] = field(default_factory=dict)
@@ -57,9 +39,6 @@ class ArrivalMap:
     @property
     def depth(self) -> int:
         return max(self.output_arrival.values())
-
-    def net(self, name: str) -> int:
-        return self.net_arrival[self.circuit.net(name)]
 
     def output(self, port: str) -> int:
         try:
@@ -83,7 +62,7 @@ class ArrivalMap:
         for cell in reversed(self.circuit.cells):
             if cell.out not in marked:
                 continue
-            need = self.net_arrival[cell.out] - self.model.cost(cell.kind)
+            need = self.net_arrival[cell.out] - _cost(cell.kind, self.inv_cost)
             for src in cell.ins:
                 if self.net_arrival[src] == need:
                     marked.add(src)
@@ -101,35 +80,42 @@ def _clean_arrivals(circuit: Circuit, given: Mapping[str, int] | None) -> dict[s
     return arrivals
 
 
-def _longest_paths(circuit: Circuit, model: StageModel, launch: list) -> list:
+def _cost(kind: GateKind, inv_cost: int) -> int:
+    return inv_cost if kind is GateKind.INV else 1
+
+
+def _longest_paths(circuit: Circuit, inv_cost: int, launch: list) -> list:
     """Longest-path stage count to every net, input net i launching at
-    ``launch[i]``; a net no launched input reaches stays at -inf."""
+    ``launch[i]``; a net no launched input reaches stays at -inf.
+    Every timing query comes here, so ``inv_cost`` is checked here."""
+    if inv_cost not in (0, 1):
+        raise NetlistError(f"inv_cost must be 0 or 1, got {inv_cost!r}")
     at = launch + [_NEG_INF] * (circuit.num_nets - len(launch))
     for cell in circuit.cells:
-        at[cell.out] = max(at[src] for src in cell.ins) + model.cost(cell.kind)
+        at[cell.out] = max(at[src] for src in cell.ins) + _cost(cell.kind, inv_cost)
     return at
 
 
 def arrivals(
     circuit: Circuit,
-    model: StageModel = DEFAULT_MODEL,
+    inv_cost: int = 0,
     input_arrivals: Mapping[str, int] | None = None,
 ) -> ArrivalMap:
     given = _clean_arrivals(circuit, input_arrivals)
-    net_arrival = _longest_paths(circuit, model, list(given.values()))
+    net_arrival = _longest_paths(circuit, inv_cost, list(given.values()))
     out = {port: net_arrival[circuit.output_net(port)] for port in circuit.outputs}
-    return ArrivalMap(circuit, model, given, net_arrival, out)
+    return ArrivalMap(circuit, inv_cost, given, net_arrival, out)
 
 
-def depth(circuit: Circuit, model: StageModel = DEFAULT_MODEL) -> int:
-    return arrivals(circuit, model).depth
+def depth(circuit: Circuit, inv_cost: int = 0) -> int:
+    return arrivals(circuit, inv_cost).depth
 
 
 def path_depth(
     circuit: Circuit,
     input_port: str,
     output_port: str,
-    model: StageModel = DEFAULT_MODEL,
+    inv_cost: int = 0,
 ) -> int | None:
     """Longest path stage count from one input to one output, or
     None when no path connects them."""
@@ -138,7 +124,7 @@ def path_depth(
     if output_port not in circuit.outputs:
         raise NetlistError(f"no output named {output_port!r}")
     launch = [0 if port == input_port else _NEG_INF for port in circuit.inputs]
-    got = _longest_paths(circuit, model, launch)[circuit.output_net(output_port)]
+    got = _longest_paths(circuit, inv_cost, launch)[circuit.output_net(output_port)]
     return None if got == _NEG_INF else got
 
 
@@ -146,14 +132,14 @@ def slack_to_input(
     circuit: Circuit,
     input_port: str,
     output_port: str,
-    model: StageModel = DEFAULT_MODEL,
+    inv_cost: int = 0,
 ) -> int | None:
     """How many stages later ``input_port`` could arrive without
     moving ``output_port``; None when the output never sees it."""
-    path = path_depth(circuit, input_port, output_port, model)
+    path = path_depth(circuit, input_port, output_port, inv_cost)
     if path is None:
         return None
-    base = arrivals(circuit, model).output(output_port)
+    base = arrivals(circuit, inv_cost).output(output_port)
     return base - path
 
 
@@ -187,11 +173,15 @@ def area(circuit: Circuit) -> AreaReport:
 
 @dataclass
 class ComparisonReport:
-    model: StageModel
+    inv_cost: int
     blocks: list[dict]
 
     def to_dict(self) -> dict:
-        entry = {"schema_version": SCHEMA_VERSION, **asdict(self)}
+        entry = {
+            "schema_version": SCHEMA_VERSION,
+            "model": {"inv_cost": self.inv_cost},
+            "blocks": self.blocks,
+        }
         if len(self.blocks) == 2:
             a, b = self.blocks
             entry["delta"] = {
@@ -238,11 +228,11 @@ class ComparisonReport:
 
 def compare(
     circuits: list[Circuit],
-    model: StageModel = DEFAULT_MODEL,
+    inv_cost: int = 0,
 ) -> ComparisonReport:
     blocks = []
     for circuit in circuits:
-        amap = arrivals(circuit, model)
+        amap = arrivals(circuit, inv_cost)
         cells = area(circuit).to_dict()
         del cells["block"]  # named once, by the entry
         blocks.append(
@@ -253,4 +243,4 @@ def compare(
                 "area": cells,
             }
         )
-    return ComparisonReport(model, blocks)
+    return ComparisonReport(inv_cost, blocks)

@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import SCHEMA_VERSION, Circuit, NetlistError
-from .generators import REGISTRY
+from .generators import COMPRESSOR_INPUTS, REGISTRY
 from .simulate import evaluate_batch, exhaustive_columns, iter_exhaustive
 
 if TYPE_CHECKING:
@@ -89,7 +89,12 @@ def _per_quantity(name: str, quantities: Callable) -> Oracle:
         expected, actual = quantities(ins, outs)
         return np.logical_and.reduce([expected[k] == actual[k] for k in expected])
 
-    return Oracle(name, check, quantities)
+    def explain(ins: Values, outs: Values) -> tuple[dict, dict]:
+        # as ints: a sorted bit is a bool
+        sides = quantities(ins, outs)
+        return tuple({k: int(v) for k, v in side.items()} for side in sides)
+
+    return Oracle(name, check, explain)
 
 
 def _weighted(
@@ -122,12 +127,9 @@ def _weighted(
         odd = np.zeros_like(carry)  # bit 0 set once any remainder was odd
         for e in range(max(terms) + 1):
             for column, accumulate in terms.get(e, ()):
-                column = np.asarray(column)
-                if column.dtype == np.uint8:
-                    # 0/1 either way; as int8, an int8 carry adds it with
-                    # no cast (a mixed add would run in int16 and cast).
-                    column = column.view(np.int8)
-                accumulate(carry, column, out=carry)
+                # A 0/1 uint8 column read as int8 adds to an int8 carry
+                # with no cast (a mixed add would run in int16 and cast).
+                accumulate(carry, column.view(np.int8), out=carry)
             odd |= carry
             carry >>= 1
         return ((odd & 1) == 0) & (carry == 0)
@@ -165,7 +167,7 @@ def _sorted_bits(ins: Values) -> list:
     """The input bits sorted high to low: bit k is set when more than k
     inputs are."""
     total = sum(ins.values())
-    return [(total > k) * 1 for k in range(len(ins))]
+    return [total > k for k in range(len(ins))]
 
 
 def _sorter(ins: Values, outs: Values):
@@ -173,10 +175,12 @@ def _sorter(ins: Values, outs: Values):
 
 
 def _half_sorter(ins: Values, outs: Values):
-    # w1 is the max and w4 the min; the middle pair counts as a multiset
-    top, mid1, mid2, bottom = _sorted_bits(ins)
+    # w1 is the max and w4 the min; the middle pair counts as a multiset,
+    # whose size is taken from the total (two bool columns' + is an or).
+    total = sum(ins.values())
+    top, bottom = total > 0, total > 3
     return (
-        {"w1": top, "w2 + w3": mid1 + mid2, "w4": bottom},
+        {"w1": top, "w2 + w3": total - top - bottom, "w4": bottom},
         {"w1": outs["w1"], "w2 + w3": outs["w2"] + outs["w3"], "w4": outs["w4"]},
     )
 
@@ -236,7 +240,13 @@ def resolve_oracle(circuit: Circuit) -> Oracle:
 
 @dataclass(kw_only=True)
 class VerificationReport:
-    """One verification run; the fields are the JSON keys, in order."""
+    """One verification run; the fields are the JSON keys, in order.
+
+    ``vectors_tried`` is the size of the scheduled scan: 2^n for an
+    exhaustive run, structured plus random rows for a random one, 512
+    for cin-independence.  A failing run stops at its first failing
+    chunk, so fewer vectors may have been simulated.
+    """
 
     block: str
     oracle: str
@@ -259,6 +269,16 @@ class VerificationReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
+
+
+def _report(circuit: Circuit, failure: dict | None, **fields) -> VerificationReport:
+    return VerificationReport(
+        block=circuit.name,
+        inputs=len(circuit.inputs),
+        status="pass" if failure is None else "fail",
+        counterexample=failure,
+        **fields,
+    )
 
 
 def _first_failure(
@@ -304,14 +324,8 @@ def verify_exhaustive(circuit: Circuit) -> VerificationReport:
         )
     orc = resolve_oracle(circuit)
     failure = _first_failure(circuit, orc, iter_exhaustive(circuit))
-    return VerificationReport(
-        block=circuit.name,
-        oracle=orc.name,
-        mode="exhaustive",
-        inputs=n,
-        vectors_tried=1 << n,
-        status="pass" if failure is None else "fail",
-        counterexample=failure,
+    return _report(
+        circuit, failure, oracle=orc.name, mode="exhaustive", vectors_tried=1 << n
     )
 
 
@@ -355,8 +369,8 @@ RANDOM_BLOCK_ROWS = 512
 # (pipeline(cols=1024), 100k vectors: 2.7 s at 406 MB peak RSS, against
 # 2.0 s at 601 MB with 2^28 bytes).  The row cap binds below 1,024
 # inputs, where the engine and the oracle hold more per row than the
-# stimulus (tracemalloc peaks a row: sorter2 25 bytes against its 2 of
-# stimulus, sorting_network4 and half_sorter4 49, traditional_fa 12).
+# stimulus (tracemalloc peaks a row: sorter2 11 bytes against its 2 of
+# stimulus, half_sorter4 19, sorting_network4 21, traditional_fa 12).
 # Both keep the 224-input array's 100k vectors in one chunk.
 RANDOM_CHUNK_BYTES = 1 << 27
 RANDOM_CHUNK_ROWS = 1 << 17
@@ -420,14 +434,12 @@ def verify_random(
     structured = structured_rows(circuit)
     chunks = _random_chunks(circuit, structured, seed, count)
     failure = _first_failure(circuit, orc, chunks)
-    return VerificationReport(
-        block=circuit.name,
+    return _report(
+        circuit,
+        failure,
         oracle=orc.name,
         mode="random",
-        inputs=len(circuit.inputs),
         vectors_tried=len(structured) + count,
-        status="pass" if failure is None else "fail",
-        counterexample=failure,
         prng=PRNG_NAME,
         seed=seed,
         structured_count=len(structured),
@@ -443,9 +455,8 @@ def verify_cout_independence(circuit: Circuit) -> VerificationReport:
     """
     import numpy as np
 
-    xs = tuple(f"x{i}" for i in range(1, 8))
-    cins = ("Ci1", "Ci2")
-    missing = [p for p in xs + cins if p not in circuit.inputs]
+    xs, cins = COMPRESSOR_INPUTS[:7], COMPRESSOR_INPUTS[7:]
+    missing = [p for p in COMPRESSOR_INPUTS if p not in circuit.inputs]
     missing += [p for p in ("Co1", "Co2") if p not in circuit.outputs]
     if missing:
         raise NetlistError(
@@ -453,7 +464,7 @@ def verify_cout_independence(circuit: Circuit) -> VerificationReport:
         )
     # Row 4*x + pair holds x-vector x with carry-in pair `pair`.
     columns = {p: np.zeros(512, np.uint8) for p in circuit.inputs}
-    columns.update(zip(xs + cins, exhaustive_columns(9)))
+    columns.update(zip(COMPRESSOR_INPUTS, exhaustive_columns(9)))
     outs = evaluate_batch(circuit, columns)
 
     co = {k: np.asarray(outs[k]).reshape(128, 4) for k in ("Co1", "Co2")}
@@ -472,12 +483,10 @@ def verify_cout_independence(circuit: Circuit) -> VerificationReport:
                 "value_b": int(co[port][x_idx, pair]),
             }
             break
-    return VerificationReport(
-        block=circuit.name,
+    return _report(
+        circuit,
+        failure,
         oracle="cin-independence",
         mode="cin-independence",
-        inputs=len(circuit.inputs),
         vectors_tried=512,
-        status="pass" if failure is None else "fail",
-        counterexample=failure,
     )

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from gatelab import cli, generators
-from gatelab.core import new_circuit
+from gatelab.core import CircuitBuilder
 from gatelab.export import from_json
 
 
@@ -21,7 +21,7 @@ def patched_block(monkeypatch, name, factory):
 
 
 def broken_full_adder():
-    b = new_circuit("traditional_fa", ["A", "B", "C"])
+    b = CircuitBuilder("traditional_fa", ["A", "B", "C"])
     a, x, c = (b.input(p) for p in ("A", "B", "C"))
     b.set_output("Carry", b.and_(a, x, name="carry"))
     b.set_output("Sum", b.xor(b.xor(a, x), c, name="sum"))
@@ -29,7 +29,7 @@ def broken_full_adder():
 
 
 # ---------------------------------------------------------------------------
-# build / export
+# build
 # ---------------------------------------------------------------------------
 
 def test_build_writes_default_file(run_cli, tmp_path, monkeypatch):
@@ -46,14 +46,6 @@ def test_build_to_stdout(run_cli):
     code, out, err = run_cli("build", "sorter2", "--out", "-")
     assert code == 0
     assert json.loads(out)["name"] == "sorter2"
-
-
-def test_export_is_an_alias(run_cli):
-    code_b, out_b, _ = run_cli("build", "sfa", "--format", "hdl", "--out", "-")
-    code_e, out_e, _ = run_cli("export", "sfa", "--format", "hdl", "--out", "-")
-    assert code_b == code_e == 0
-    assert out_b == out_e
-    assert out_b.startswith("module sfa")
 
 
 def test_build_dot_with_annotations(run_cli):
@@ -126,6 +118,8 @@ def test_argparse_usage_errors_exit_2(run_cli):
     assert run_cli("frobnicate")[0] == 2
     assert run_cli("build", "sorter2", "--format", "svg")[0] == 2
     assert run_cli("build", "array_reducer", "--rows", "7")[0] == 2
+    assert run_cli("export", "sfa")[0] == 2
+    assert run_cli("verify", "sorter2", "--schema-version", "1")[0] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +263,6 @@ def test_json_reports_are_byte_deterministic(run_cli):
     a = run_cli("verify", "sfa", "--random", "--seed", "5", "--count", "100")
     b = run_cli("verify", "sfa", "--random", "--seed", "5", "--count", "100")
     assert a == b
-
-
-def test_schema_version_flag(run_cli):
-    code, out, _ = run_cli("verify", "sorter2", "--schema-version", "1")
-    assert code == 0
-    assert json.loads(out)["schema_version"] == "1"
-    code, _, err = run_cli("verify", "sorter2", "--schema-version", "2")
-    assert code == 2
-    assert "schema" in err
 
 
 def test_manifest_records_the_run(run_cli, tmp_path):

@@ -10,10 +10,10 @@ from gatelab.core import (
     BuildError,
     Cell,
     Circuit,
+    CircuitBuilder,
     Const,
     GateKind,
     NetlistError,
-    new_circuit,
     validate,
 )
 from gatelab.generators import sorter2
@@ -24,7 +24,7 @@ ONE = Const.ONE
 
 
 def build_pair():
-    b = new_circuit("t", ["a", "b"])
+    b = CircuitBuilder("t", ["a", "b"])
     return b, b.input("a"), b.input("b")
 
 
@@ -59,18 +59,20 @@ def test_bool_is_not_a_net_ref():
 
 def test_duplicate_input_names_rejected():
     with pytest.raises(BuildError):
-        new_circuit("t", ["a", "a"])
+        CircuitBuilder("t", ["a", "a"])
 
 
 def test_input_names_validated():
     with pytest.raises(BuildError):
-        new_circuit("t", ["1bad"])
+        CircuitBuilder("t", ["1bad"])
 
 
 def test_input_port_errors_name_the_port():
     with pytest.raises(BuildError, match="duplicate input name 'a'"):
-        new_circuit("t", ["a", "b", "a"])
-    b = new_circuit("t", ["a", "b"])
+        CircuitBuilder("t", ["a", "b", "a"])
+    with pytest.raises(BuildError, match="bad circuit name 5"):
+        CircuitBuilder(5, ["a"])
+    b = CircuitBuilder("t", ["a", "b"])
     assert (b.input("a"), b.input("b")) == (0, 1)
     with pytest.raises(BuildError, match="t: no input named 'c'"):
         b.input("c")
@@ -78,6 +80,8 @@ def test_input_port_errors_name_the_port():
         b.input(["a"])
     with pytest.raises(BuildError, match="port name 'b' already in use"):
         b.set_output("b", b.input("a"))
+    with pytest.raises(BuildError, match="bad output name 5"):
+        b.set_output(5, b.input("a"))
     b.set_output("o", b.and_(b.input("a"), b.input("b")))
     assert b.seal().inputs == ("a", "b")
 
@@ -161,7 +165,7 @@ def test_xor_macro_expansion_and_truth_table():
 
 
 def test_mux_macro_truth_table():
-    b = new_circuit("m", ["s", "d0", "d1"])
+    b = CircuitBuilder("m", ["s", "d0", "d1"])
     s, d0, d1 = (b.input(p) for p in ("s", "d0", "d1"))
     b.set_output("o", b.mux(s, d0, d1, name="o"))
     c = b.seal()

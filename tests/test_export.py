@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatelab.core import Circuit, GateKind, new_circuit
+from gatelab.core import Circuit, CircuitBuilder, GateKind
 from gatelab.export import (
     FormatError,
     from_json,
@@ -177,7 +177,7 @@ def test_document_must_be_an_object_with_required_keys():
 @st.composite
 def random_circuits(draw):
     n_inputs = draw(st.integers(1, 4))
-    b = new_circuit("rand", [f"in{i}" for i in range(n_inputs)])
+    b = CircuitBuilder("rand", [f"in{i}" for i in range(n_inputs)])
     refs = [b.input(f"in{i}") for i in range(n_inputs)]
     for _ in range(draw(st.integers(1, 10))):
         kind = draw(st.sampled_from(sorted(GateKind, key=lambda k: k.name)))
@@ -226,7 +226,7 @@ def test_hdl_uses_only_primitives_and_is_deterministic():
 
 
 def test_hdl_identifier_sanitization():
-    b = new_circuit("t", ["a", "b"])
+    b = CircuitBuilder("t", ["a", "b"])
     x, y = b.input("a"), b.input("b")
     b.set_output("o1", b.and_(x, y, name="n/x"))
     b.set_output("o2", b.or_(x, y, name="n_x"))

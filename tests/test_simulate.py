@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from test_export import random_circuits
 
 from gatelab import simulate
-from gatelab.core import ARITY, ONE, ZERO, Cell, Const, GateKind, new_circuit
+from gatelab.core import ARITY, ONE, ZERO, Cell, CircuitBuilder, Const, GateKind
 from gatelab.export import to_json
 from gatelab.generators import (
     REGISTRY,
@@ -105,7 +105,7 @@ def tied_recipes(draw):
 def test_folding_keeps_every_gate_function(recipe):
     n, cells = recipe
     inputs = [f"in{i}" for i in range(n)]
-    b = new_circuit("tied", inputs)
+    b = CircuitBuilder("tied", inputs)
     built = {i: b.input(port) for i, port in enumerate(inputs)}
     for cell in cells:
         ins = [r if isinstance(r, Const) else built[r] for r in cell.ins]
@@ -127,7 +127,7 @@ def test_folding_keeps_every_gate_function(recipe):
 
 def inverting_block():
     """Only INV and NOR cells: every padding bit of a packed word ends up 1."""
-    b = new_circuit("inverting", ["a", "b", "c"])
+    b = CircuitBuilder("inverting", ["a", "b", "c"])
     a, x, c = (b.input(p) for p in ("a", "b", "c"))
     b.set_output("na", b.inv(a))
     b.set_output("nor", b.nor_(a, x))

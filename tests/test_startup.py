@@ -18,15 +18,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC_NAMES = [
     "AreaReport", "ArrivalMap", "BlockSpec", "BuildError", "Cell", "Circuit",
-    "CircuitBuilder", "ComparisonReport", "Const", "DEFAULT_MODEL",
-    "EXHAUSTIVE_INPUT_BOUND", "ExhaustiveBoundError", "FormatError", "GateKind",
-    "GeneratorInfo", "Instance", "MIDDLE_PICKS", "NetRef", "NetlistError",
-    "ORACLES", "Oracle", "ParamSpec", "ParameterError", "REGISTRY",
-    "SimulationError", "StageModel", "VerificationReport", "adjusted_fa", "area",
-    "array_reducer", "arrivals", "build_block", "compare", "compressor72_cascade",
-    "compressor72_proposed", "depth", "evaluate", "evaluate_batch",
-    "exhaustive_columns", "from_document", "from_json", "half_sorter4",
-    "iter_exhaustive", "kogge_stone", "new_circuit", "path_depth", "pipeline",
+    "CircuitBuilder", "ComparisonReport", "Const", "EXHAUSTIVE_INPUT_BOUND",
+    "ExhaustiveBoundError", "FormatError", "GateKind", "GeneratorInfo", "Instance",
+    "MIDDLE_PICKS", "NetRef", "NetlistError", "ORACLES", "Oracle", "ParamSpec",
+    "ParameterError", "REGISTRY", "SimulationError", "VerificationReport",
+    "adjusted_fa", "area", "array_reducer", "arrivals", "build_block", "compare",
+    "compressor72_cascade", "compressor72_proposed", "depth", "evaluate",
+    "evaluate_batch", "exhaustive_columns", "from_document", "from_json",
+    "half_sorter4", "iter_exhaustive", "kogge_stone", "path_depth", "pipeline",
     "render", "resolve_oracle", "sfa", "slack_to_input", "sorter2",
     "sorting_network4", "structured_rows", "to_document", "to_dot", "to_json",
     "to_structural_hdl", "traditional_fa", "validate", "vector_at",
@@ -37,7 +36,7 @@ WATCHED = ("numpy", "gatelab.simulate", "gatelab.verify")
 
 
 def test_every_public_name_is_exported_and_resolves():
-    assert len(PUBLIC_NAMES) == 65
+    assert len(PUBLIC_NAMES) == 62
     assert gatelab.__all__ == PUBLIC_NAMES
     namespace: dict = {}
     exec("from gatelab import *", namespace)
@@ -83,7 +82,12 @@ def test_import_loads_no_numpy_but_every_submodule(tmp_path):
         ["compare", "compressor72_proposed", "compressor72_cascade"],
         ["build", "sfa", "--format", "hdl", "--out", "-"],
         ["build", "compressor72_proposed", "--out", "-"],
-        ["export", "compressor72_proposed", "--format", "dot", "--out", "-"],
+        # The DOT writer of gatelab.export, reached through `build`; the id
+        # names what it exercises, as it did when `export` was a CLI alias.
+        pytest.param(
+            ["build", "compressor72_proposed", "--format", "dot", "--out", "-"],
+            id="export compressor72_proposed --format dot (build)",
+        ),
     ],
     ids=lambda argv: " ".join(argv[:3]),
 )

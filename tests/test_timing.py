@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from gatelab.core import NetlistError, new_circuit
+from gatelab.core import CircuitBuilder, NetlistError
 from gatelab.generators import (
     adjusted_fa,
     array_reducer,
@@ -20,7 +20,6 @@ from gatelab.generators import (
     traditional_fa,
 )
 from gatelab.timing import (
-    StageModel,
     area,
     arrivals,
     compare,
@@ -29,7 +28,7 @@ from gatelab.timing import (
     slack_to_input,
 )
 
-INV1 = StageModel(inv_cost=1)
+INV1 = 1
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +88,7 @@ def test_array_depths_and_cells(factory, cols, compressor):
 
 def test_stage_model_validation():
     with pytest.raises(NetlistError):
-        StageModel(inv_cost=2)
+        arrivals(sorter2(), inv_cost=2)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +113,7 @@ def test_late_c_arrival_hides_behind_the_slack():
 
 
 def test_unconnected_pair_has_no_path_and_no_slack():
-    b = new_circuit("split", ["a", "b"])
+    b = CircuitBuilder("split", ["a", "b"])
     b.set_output("oa", b.inv(b.input("a")))
     b.set_output("ob", b.and_(b.input("b"), b.input("b")))
     c = b.seal()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gatelab import verify
-from gatelab.core import GateKind, NetlistError, new_circuit
+from gatelab.core import CircuitBuilder, GateKind, NetlistError
 from gatelab.generators import REGISTRY, BlockSpec, build_block
 from gatelab.simulate import evaluate_batch, exhaustive_columns, iter_exhaustive
 from gatelab.verify import (
@@ -30,7 +30,7 @@ from gatelab.verify import (
 
 def broken_full_adder():
     """Majority carry replaced by AND: wrong on exactly (0,1,1) and (1,0,1)."""
-    b = new_circuit("traditional_fa", ["A", "B", "C"])
+    b = CircuitBuilder("traditional_fa", ["A", "B", "C"])
     a, x, c = (b.input(p) for p in ("A", "B", "C"))
     b.set_output("Carry", b.and_(a, x, name="carry"))
     b.set_output("Sum", b.xor(b.xor(a, x), c, name="sum"))
@@ -49,7 +49,7 @@ def with_kind(circuit, net_name, kind):
 
 def leaky_compressor():
     """Compressor-shaped block whose Co1 echoes a carry-in."""
-    b = new_circuit(
+    b = CircuitBuilder(
         "leaky", [f"x{i}" for i in range(1, 8)] + ["Ci1", "Ci2"]
     )
     x1 = b.input("x1")
@@ -194,7 +194,7 @@ def test_random_reports_are_seed_deterministic():
 def test_structured_suite_catches_an_all_ones_bug_without_randomness():
     # Sum ignores C entirely: correct on zeros and every one-hot, wrong
     # on the all-ones row, which is structured vector number 1.
-    b = new_circuit("traditional_fa", ["A", "B", "C"])
+    b = CircuitBuilder("traditional_fa", ["A", "B", "C"])
     a, x, c = (b.input(p) for p in ("A", "B", "C"))
     b.set_output("Carry", b.or_(b.and_(a, x), b.and_(c, b.or_(a, x)), name="carry"))
     b.set_output("Sum", b.xor(a, x, name="sum"))
@@ -261,7 +261,7 @@ def test_random_stimulus_is_structured_rows_then_one_draw(monkeypatch, spec, cou
 def one_input_block():
     # a registry name for its oracle, which it passes, so that a run
     # simulates every chunk of its stimulus
-    b = new_circuit("sorter2", ["In1"])
+    b = CircuitBuilder("sorter2", ["In1"])
     b.set_output("Out1", b.inv(b.inv(b.input("In1"))))
     return b.seal()
 
@@ -359,9 +359,10 @@ def test_narrow_random_chunks_stop_at_the_row_cap(monkeypatch):
         tracemalloc.stop()
     assert report.ok
     assert calls == [4 + RANDOM_CHUNK_ROWS, RANDOM_CHUNK_ROWS, 1]
-    # The oracle checks the uint8 columns it is given; int64 copies of
-    # them took a chunk to about 61 bytes a row.
-    assert peak < 40 * RANDOM_CHUNK_ROWS
+    # The oracle checks the uint8 columns it is given and keeps its sorted
+    # bits as bools; int64 copies of them took a chunk to about 61 bytes a
+    # row, int64 sorted bits to 26.
+    assert peak < 16 * RANDOM_CHUNK_ROWS
 
 
 def test_fault_at_the_last_vector_of_a_65_vector_run_is_reported_there():
@@ -370,7 +371,7 @@ def test_fault_at_the_last_vector_of_a_65_vector_run_is_reported_there():
     adder = build_block(BlockSpec("kogge_stone"))
     n = len(adder.inputs)
     last = np.random.default_rng(4).integers(0, 2, size=(46, n), dtype=np.uint8)[-1]
-    b = new_circuit("kogge_stone", adder.inputs)
+    b = CircuitBuilder("kogge_stone", adder.inputs)
     outs = b.instantiate(adder, {p: b.input(p) for p in adder.inputs})
     match = b.input(adder.inputs[0]) if last[0] else b.inv(b.input(adder.inputs[0]))
     for port, bit in zip(adder.inputs[1:], last[1:].tolist()):
@@ -590,7 +591,7 @@ def test_resolve_oracle_paths(monkeypatch):
     swapped = dataclasses.replace(ORACLES["sfa"], name="swapped")
     monkeypatch.setitem(ORACLES, "sfa", swapped)
     assert resolve_oracle(c) is swapped
-    anon = new_circuit("anon", ["a"])
+    anon = CircuitBuilder("anon", ["a"])
     anon.set_output("o", anon.inv(anon.input("a")))
     with pytest.raises(NetlistError, match="not a registry block"):
         resolve_oracle(anon.seal())
