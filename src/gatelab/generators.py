@@ -189,21 +189,23 @@ def kogge_stone(width: int = 8) -> Circuit:
 COMPRESSOR_INPUTS = tuple(f"x{i}" for i in range(1, 8)) + ("Ci1", "Ci2")
 
 
-def compressor72_proposed(middle_pick: str = "first") -> Circuit:
+def compressor72_proposed() -> Circuit:
     """(7,2) compressor built on sorted-carry generation.
 
     Weighted contract over the nine weight-1 inputs:
     Sum + 2·Carry + 2·Co1 + 4·Co2 = x1..x7 + Ci1 + Ci2, with Co1/Co2
     functions of x1..x7 only.  The carry-in pair rides the A/B ports of
     the final adjusted adder and mid.Sum its late select input C, so
-    every output settles within 10 stages of the inputs.
+    every output settles within 10 stages of the inputs.  Its ``sfa``
+    takes the default middle pick: the other pick rewires 6 cells but
+    leaves the cell count, depth and every output arrival unchanged.
     """
     b = CircuitBuilder("compressor72_proposed", list(COMPRESSOR_INPUTS))
     x = {i: b.input(f"x{i}") for i in range(1, 8)}
     afa = adjusted_fa()
 
     quad = b.instantiate(
-        sfa(middle_pick),
+        sfa(),
         {"i1": x[1], "i2": x[2], "i3": x[3], "i4": x[4]},
         name="quad",
     )
@@ -262,16 +264,11 @@ def compressor72_cascade() -> Circuit:
     return b.seal()
 
 
-def _resolve_compressor(compressor: str, middle_pick: str) -> Circuit:
-    """The column compressor named in ``_COMP``, built by its registry
-    factory with ``middle_pick`` when it takes one."""
-    if middle_pick not in MIDDLE_PICKS:
-        raise ParameterError(f"middle_pick must be one of {MIDDLE_PICKS}")
+def _resolve_compressor(compressor: str) -> Circuit:
+    """The column compressor named in ``_COMP``, built by its registry factory."""
     if compressor not in _COMP.choices:
         raise ParameterError(f"compressor must be one of {list(_COMP.choices)}")
-    info = REGISTRY[compressor]
-    picks = {"middle_pick": middle_pick} if "middle_pick" in info.params else {}
-    return info.factory(**picks)
+    return REGISTRY[compressor].factory()
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +276,14 @@ def _resolve_compressor(compressor: str, middle_pick: str) -> Circuit:
 # ---------------------------------------------------------------------------
 
 def _array(
-    name: str, cols: int, compressor: str, middle_pick: str, prefix: str = ""
+    name: str, cols: int, compressor: str, prefix: str = ""
 ) -> tuple[CircuitBuilder, list[NetRef], list[NetRef]]:
     """Open a builder over the ``bit_<r>_<c>`` inputs and wire one
     compressor per column as instance ``<prefix>col<c>``.  Returns the
     builder, the sum row and the carry row, constants kept."""
     if not isinstance(cols, int) or isinstance(cols, bool) or cols < 1:
         raise ParameterError("cols must be a positive integer")
-    comp = _resolve_compressor(compressor, middle_pick)
+    comp = _resolve_compressor(compressor)
     b = CircuitBuilder(name, [f"bit_{r}_{c}" for r in range(7) for c in range(cols)])
 
     outs: list[dict[str, NetRef]] = []
@@ -299,11 +296,7 @@ def _array(
     return b, [o["Sum"] for o in outs], [o["Carry"] for o in outs]
 
 
-def array_reducer(
-    cols: int = 8,
-    compressor: str = "compressor72_proposed",
-    middle_pick: str = "first",
-) -> Circuit:
+def array_reducer(cols: int = 8, compressor: str = "compressor72_proposed") -> Circuit:
     """Compress a 7-row binary array into two rows, one compressor per column.
 
     Inputs ``bit_<r>_<c>`` carry weight 2^c.  Column c's Co1 feeds
@@ -312,9 +305,10 @@ def array_reducer(
     the spill past the last real column (folding shrinks them to the
     half-adder logic that remains).  Outputs: sum row ``s0..s<cols+1>``
     at weights 2^c and carry row ``y1..y<cols>`` at weights 2^(c+1);
-    column 0's carry is identically zero and has no port.
+    column 0's carry is identically zero and has no port.  ``compressor``
+    names the registered block wired into every column.
     """
-    b, sums, carries = _array("array_reducer", cols, compressor, middle_pick)
+    b, sums, carries = _array("array_reducer", cols, compressor)
     for c, ref in enumerate(sums):
         b.set_output(f"s{c}", ref)
     for c, ref in enumerate(carries):
@@ -324,20 +318,17 @@ def array_reducer(
     return b.seal()
 
 
-def pipeline(
-    cols: int = 8,
-    compressor: str = "compressor72_proposed",
-    middle_pick: str = "first",
-) -> Circuit:
+def pipeline(cols: int = 8, compressor: str = "compressor72_proposed") -> Circuit:
     """Array reducer followed by a Kogge-Stone merge of the two rows.
 
-    The reducer's columns are wired in place as ``reduce/col<c>``.
+    ``cols`` and ``compressor`` are as for :func:`array_reducer`, whose
+    columns are wired in place as ``reduce/col<c>``.
     The row total is at most 7·(2^cols - 1), so a cols+3 bit adder
     never overflows and its carry-out is structurally zero.  Outputs
     are the live sum bits ``s0..``; bits that fold to constant zero
     (the carry-out always, the top bit when cols = 1) have no port.
     """
-    b, sums, carries = _array("pipeline", cols, compressor, middle_pick, "reduce/")
+    b, sums, carries = _array("pipeline", cols, compressor, "reduce/")
     width = cols + 3
     bind: dict[str, NetRef] = {"cin": ZERO}
     for i in range(width):
@@ -356,9 +347,11 @@ def pipeline(
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """One accepted generator parameter; the CLI derives its flag from it.
+    """One accepted generator parameter; the CLI derives its flag's
+    type, choices and help from it.
 
-    Its default is the generator's own keyword default, stated nowhere else.
+    Its default is the generator's own keyword default, and its legal
+    values are checked by the generator itself, stated nowhere else.
     """
 
     kind: type
@@ -404,55 +397,33 @@ REGISTRY: dict[str, GeneratorInfo] = {
     "sfa": GeneratorInfo(sfa, {"middle_pick": _PICK}, "sfa"),
     "traditional_fa": GeneratorInfo(traditional_fa, {}, "full_adder"),
     "adjusted_fa": GeneratorInfo(adjusted_fa, {}, "full_adder"),
-    "compressor72_proposed": GeneratorInfo(
-        compressor72_proposed, {"middle_pick": _PICK}, "compressor72"
-    ),
+    "compressor72_proposed": GeneratorInfo(compressor72_proposed, {}, "compressor72"),
     "compressor72_cascade": GeneratorInfo(compressor72_cascade, {}, "compressor72"),
     "kogge_stone": GeneratorInfo(
         kogge_stone, {"width": ParamSpec(int, help="adder width in bits")}, "adder"
     ),
     "array_reducer": GeneratorInfo(
-        array_reducer,
-        {
-            "cols": _COLS,
-            "compressor": _COMP,
-            "middle_pick": _PICK,
-        },
-        "reducer",
+        array_reducer, {"cols": _COLS, "compressor": _COMP}, "reducer"
     ),
     "pipeline": GeneratorInfo(
-        pipeline,
-        {
-            "cols": _COLS,
-            "compressor": _COMP,
-            "middle_pick": _PICK,
-        },
-        "pipeline",
+        pipeline, {"cols": _COLS, "compressor": _COMP}, "pipeline"
     ),
 }
 
 
 def build_block(spec: BlockSpec) -> Circuit:
-    """Build a registered block, validating every parameter."""
+    """Build a registered block.
+
+    Unknown generators and parameter names are rejected here; each
+    value is checked by the generator that takes it."""
     if spec.generator not in REGISTRY:
         raise ParameterError(
             f"unknown generator {spec.generator!r}; known: {sorted(REGISTRY)}"
         )
     info = REGISTRY[spec.generator]
-    kwargs: dict[str, Any] = {}
-    for key, value in spec.params.items():
+    for key in spec.params:
         if key not in info.params:
             raise ParameterError(
                 f"{spec.generator} does not take parameter {key!r}"
             )
-        ps = info.params[key]
-        if ps.kind is int and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ParameterError(f"{spec.generator}: {key} must be an integer")
-        if ps.kind is str and not isinstance(value, str):
-            raise ParameterError(f"{spec.generator}: {key} must be a string")
-        if ps.choices is not None and value not in ps.choices:
-            raise ParameterError(
-                f"{spec.generator}: {key} must be one of {list(ps.choices)}"
-            )
-        kwargs[key] = value
-    return info.factory(**kwargs)
+    return info.factory(**spec.params)

@@ -88,7 +88,7 @@ def _longest_paths(circuit: Circuit, inv_cost: int, launch: list) -> list:
     """Longest-path stage count to every net, input net i launching at
     ``launch[i]``; a net no launched input reaches stays at -inf.
     Every timing query comes here, so ``inv_cost`` is checked here."""
-    if inv_cost not in (0, 1):
+    if not isinstance(inv_cost, int) or isinstance(inv_cost, bool) or inv_cost not in (0, 1):
         raise NetlistError(f"inv_cost must be 0 or 1, got {inv_cost!r}")
     at = launch + [_NEG_INF] * (circuit.num_nets - len(launch))
     for cell in circuit.cells:

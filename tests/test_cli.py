@@ -87,9 +87,12 @@ def test_bad_parameter_is_a_usage_error(run_cli):
     code, _, err = run_cli("build", "kogge_stone", "--width", "0")
     assert code == 2
     assert "width" in err
-    code, _, err = run_cli("build", "compressor72_cascade", "--middle-pick", "second")
-    assert code == 2
-    assert "middle-pick" in err
+    # --middle-pick belongs to sfa alone
+    blocks = ("compressor72_cascade", "compressor72_proposed", "array_reducer", "pipeline")
+    for block in blocks:
+        code, _, err = run_cli("build", block, "--middle-pick", "first")
+        assert code == 2
+        assert f"{block} does not take --middle-pick" in err
 
 
 def test_unwritable_output_is_an_io_error(run_cli):
@@ -245,8 +248,7 @@ def test_compare_needs_two_blocks(run_cli):
 
 def test_compare_shares_flags_across_blocks(run_cli):
     code, out, _ = run_cli(
-        "compare", "compressor72_proposed", "compressor72_cascade",
-        "--middle-pick", "second",
+        "compare", "sfa", "traditional_fa", "--middle-pick", "second",
     )
     assert code == 0
     assert len(json.loads(out)["blocks"]) == 2

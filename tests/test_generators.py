@@ -288,18 +288,6 @@ def test_pipeline_rejects_unknown_compressor():
                 factory(cols=1, compressor=bad)
 
 
-@pytest.mark.parametrize("factory", [array_reducer, pipeline])
-@pytest.mark.parametrize(
-    "compressor", [None, "compressor72_cascade"]
-)
-def test_arrays_reject_unknown_middle_pick_for_every_compressor(factory, compressor):
-    # None passes no compressor, so the default is used.  The cascade
-    # ignores middle_pick, but a bad value is still an error.
-    chosen = {} if compressor is None else {"compressor": compressor}
-    with pytest.raises(ParameterError, match="middle_pick"):
-        factory(cols=2, middle_pick="bogus", **chosen)
-
-
 @pytest.mark.parametrize(
     "compressor", ["compressor72_proposed", "compressor72_cascade"]
 )
@@ -351,6 +339,8 @@ def test_registry_rejects_unknown_generator():
 def test_registry_rejects_unknown_parameter():
     with pytest.raises(ParameterError):
         build_block(BlockSpec("sorter2", {"width": 4}))
+    with pytest.raises(ParameterError, match="middle_pick"):
+        build_block(BlockSpec("pipeline", {"middle_pick": "first"}))
 
 
 def test_registry_rejects_wrong_types_and_choices():
@@ -360,9 +350,29 @@ def test_registry_rejects_wrong_types_and_choices():
         build_block(BlockSpec("kogge_stone", {"width": "8"}))
     with pytest.raises(ParameterError):
         build_block(BlockSpec("sfa", {"middle_pick": "third"}))
+    # the array generators check these values themselves
+    for block in ("array_reducer", "pipeline"):
+        for params in (
+            {"cols": True},
+            {"cols": "8"},
+            {"compressor": "ripple"},
+            {"compressor": None},
+        ):
+            with pytest.raises(ParameterError):
+                build_block(BlockSpec(block, params))
+
+
+def test_middle_pick_is_a_parameter_of_sfa_alone():
+    takers = [name for name, info in REGISTRY.items() if "middle_pick" in info.params]
+    assert takers == ["sfa"]
+    for factory in (compressor72_proposed, array_reducer, pipeline):
+        with pytest.raises(TypeError):
+            factory(middle_pick="first")
 
 
 def test_block_spec_label():
     assert BlockSpec("sfa").label() == "sfa"
-    label = BlockSpec("pipeline", {"cols": 4, "middle_pick": "second"}).label()
-    assert label == "pipeline(cols=4,middle_pick=second)"
+    label = BlockSpec(
+        "pipeline", {"cols": 4, "compressor": "compressor72_cascade"}
+    ).label()
+    assert label == "pipeline(cols=4,compressor=compressor72_cascade)"

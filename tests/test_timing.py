@@ -87,8 +87,10 @@ def test_array_depths_and_cells(factory, cols, compressor):
 
 
 def test_stage_model_validation():
-    with pytest.raises(NetlistError):
-        arrivals(sorter2(), inv_cost=2)
+    # only the ints 0 and 1: a bool or float would leak into reports
+    for bad in (2, True, 1.0):
+        with pytest.raises(NetlistError):
+            arrivals(sorter2(), inv_cost=bad)
 
 
 # ---------------------------------------------------------------------------
