@@ -17,8 +17,10 @@ tests pin the equality.
 
 Both modes check their vectors chunk by chunk through one loop, which
 stops at the first failing chunk.  A random chunk holds at most
-``RANDOM_CHUNK_BYTES`` of drawn stimulus and ``RANDOM_CHUNK_ROWS`` rows,
-so a run's memory follows one chunk and its run time follows ``count``.
+``RANDOM_CHUNK_BYTES`` of stimulus and ``RANDOM_CHUNK_ROWS`` rows,
+structured rows included, so a run's memory follows one chunk and its
+run time follows ``count``.  An exhaustive sweep simulates its vectors
+in packed chunks and checks them in smaller slices (see simulate).
 
 Failures report the first counterexample in scan order; for
 exhaustive mode that is the lexicographically first failing input
@@ -34,7 +36,13 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequenc
 
 from .core import SCHEMA_VERSION, Circuit, NetlistError
 from .generators import COMPRESSOR_INPUTS, REGISTRY
-from .simulate import evaluate_batch, exhaustive_columns, iter_exhaustive
+from .simulate import (
+    _evaluate_words,
+    _exhaustive_words,
+    evaluate_batch,
+    exhaustive_columns,
+    iter_exhaustive,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -282,19 +290,19 @@ def _report(circuit: Circuit, failure: dict | None, **fields) -> VerificationRep
 
 
 def _first_failure(
-    circuit: Circuit, oracle: Oracle, chunks: Iterable[tuple[int, Columns]]
+    circuit: Circuit, oracle: Oracle, chunks: Iterable[tuple[int, Columns, Columns]]
 ) -> dict | None:
     """The counterexample at the first vector that fails the oracle, or
     None when all pass.
 
-    ``chunks`` yields (offset, input columns) pairs in scan order; a
-    failure at row ``local`` of a chunk is vector ``offset + local``.
-    No chunk after the failing one is simulated.
+    ``chunks`` yields (offset, input columns, output columns) in scan
+    order; a failure at row ``local`` of a chunk is vector
+    ``offset + local``.  Sources simulate lazily, so no chunk after the
+    failing one is simulated.
     """
     import numpy as np
 
-    for offset, columns in chunks:
-        outs = evaluate_batch(circuit, columns)
+    for offset, columns, outs in chunks:
         ok = oracle.check(columns, outs)
         if not bool(np.all(ok)):
             local = int(np.argmin(ok))
@@ -307,7 +315,35 @@ def _first_failure(
                 "expected": expected,
                 "actual": actual,
             }
+        # Dropped before the next chunk is simulated: held through it, a
+        # 35 s run of kogge_stone(width=11) sweeps peaked at 36.1 MB RSS
+        # against 35.5.
+        del ok
     return None
+
+
+def _exhaustive_chunks(circuit: Circuit) -> Iterator[tuple[int, Columns, Columns]]:
+    """(offset, input columns, output columns) for every slice of
+    :func:`iter_exhaustive`.
+
+    The engine runs once per packed chunk of the enumeration, and its
+    output words are unpacked one slice at a time, so the uint8 bytes
+    held follow a slice, not an engine chunk.
+    """
+    import numpy as np
+
+    slices = iter_exhaustive(circuit)
+    for offset, words in _exhaustive_words(circuit):
+        outs = _evaluate_words(circuit, words).view(np.uint8)
+        end = offset + 8 * outs.shape[1]  # a vector a bit
+        for start, columns in slices:
+            length = len(columns[circuit.inputs[0]])
+            first = (start - offset) // 8
+            packed = outs[:, first : first + -(-length // 8)]
+            bits = np.unpackbits(packed, axis=1, count=length, bitorder="little")
+            yield start, columns, dict(zip(circuit.outputs, bits))
+            if start + length >= end:
+                break
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +359,7 @@ def verify_exhaustive(circuit: Circuit) -> VerificationReport:
             f"{EXHAUSTIVE_INPUT_BOUND}. Use random mode with a seed instead."
         )
     orc = resolve_oracle(circuit)
-    failure = _first_failure(circuit, orc, iter_exhaustive(circuit))
+    failure = _first_failure(circuit, orc, _exhaustive_chunks(circuit))
     return _report(
         circuit, failure, oracle=orc.name, mode="exhaustive", vectors_tried=1 << n
     )
@@ -362,10 +398,10 @@ def structured_rows(circuit: Circuit) -> np.ndarray:
 RANDOM_BLOCK_ROWS = 512
 
 
-# A random-mode chunk draws whole blocks of at most this many stimulus
-# bytes (inputs x rows) and this many rows; the first chunk also holds
-# the structured rows.  Each chunk pays one Python pass over the op
-# list, so the byte budget trades memory for time on wide blocks
+# A random-mode chunk holds at most this many stimulus bytes (inputs x
+# rows) and this many rows, the structured rows included, in whole
+# blocks of draws.  Each chunk pays one Python pass over the op list, so
+# the byte budget trades memory for time on wide blocks
 # (pipeline(cols=1024), 100k vectors: 2.7 s at 406 MB peak RSS, against
 # 2.0 s at 601 MB with 2^28 bytes).  The row cap binds below 1,024
 # inputs, where the engine and the oracle hold more per row than the
@@ -378,36 +414,47 @@ RANDOM_CHUNK_ROWS = 1 << 17
 
 def _random_chunks(
     circuit: Circuit, structured: np.ndarray, seed: int, count: int
-) -> Iterator[tuple[int, Columns]]:
-    """(offset, input columns) chunks of the rows of ``structured``, then
-    ``count`` rows of the seeded random stream.
+) -> Iterator[tuple[int, Columns, Columns]]:
+    """(offset, input columns, output columns) chunks of the rows of
+    ``structured``, then ``count`` rows of the seeded random stream,
+    each simulated by ``evaluate_batch`` when it is reached.
 
-    Every chunk is written into one reused (inputs, rows) uint8 buffer,
-    whose rows the engine and the oracle read as contiguous input
-    columns, so a chunk's columns are overwritten by the next chunk.
-    Random rows are drawn in blocks and written transposed, so no
-    row-major copy of a chunk exists.
+    A chunk is cut every ``step`` rows of that sequence, so the
+    structured rows count against the budget; a cut inside the random
+    stream moves back to a multiple of 8 drawn rows, so that every block
+    of draws but the last holds whole raw words.  Every chunk is written
+    into one reused (inputs, rows) uint8 buffer, whose rows the engine
+    and the oracle read as contiguous input columns, so a chunk's
+    columns are overwritten by the next chunk.  Random rows are drawn in
+    blocks and written transposed, so no row-major copy of a chunk
+    exists.
     """
     import numpy as np
 
     n = len(circuit.inputs)
-    most = min(RANDOM_CHUNK_BYTES // n, RANDOM_CHUNK_ROWS)  # rows a chunk may draw
+    most = min(RANDOM_CHUNK_BYTES // n, RANDOM_CHUNK_ROWS)  # rows a chunk may hold
     step = max(1, most // RANDOM_BLOCK_ROWS) * RANDOM_BLOCK_ROWS
-    structured_count = len(structured)
-    buffer = np.empty((n, structured_count + min(step, count)), np.uint8)
-    buffer[:, :structured_count] = structured.T
+    head = len(structured)  # rows ahead of the draw
+    total = head + count
+    buffer = np.empty((n, min(step, total)), np.uint8)
     raw = np.random.default_rng(seed).bit_generator.random_raw
-    for start in range(0, max(count, 1), step):  # count 0: the structured rows
-        stop = min(start + step, count)
-        head = structured_count if start == 0 else 0  # rows ahead of the draw
-        for row in range(start, stop, RANDOM_BLOCK_ROWS):
+    start = 0
+    while start < total:
+        stop = start + step
+        if stop > head:
+            stop -= (stop - head) % 8
+        stop = min(stop, total)
+        fixed = max(0, min(stop, head) - start)  # structured rows in the chunk
+        buffer[:, :fixed] = structured[start : start + fixed].T
+        for row in range(max(start, head), stop, RANDOM_BLOCK_ROWS):
             rows = min(RANDOM_BLOCK_ROWS, stop - row)
             words = raw(-(-rows * n // 8)).astype("<u8", copy=False)
             block = words.view(np.uint8)[: rows * n].reshape(rows, n)
-            col = head + row - start
+            col = row - start
             np.right_shift(block.T, 7, out=buffer[:, col : col + rows])
-        columns = dict(zip(circuit.inputs, buffer[:, : head + stop - start]))
-        yield structured_count + start - head, columns
+        columns = dict(zip(circuit.inputs, buffer[:, : stop - start]))
+        yield start, columns, evaluate_batch(circuit, columns)
+        start = stop
 
 
 def verify_random(
@@ -422,9 +469,9 @@ def verify_random(
     ``default_rng(seed).integers(0, 2, (count, n), np.uint8)``; tests pin
     the equality.
     They are drawn and checked in chunks of at most
-    ``RANDOM_CHUNK_BYTES`` of random stimulus and ``RANDOM_CHUNK_ROWS``
-    rows, and the run stops at the first failing chunk, so memory
-    follows one chunk and run time ``count``.
+    ``RANDOM_CHUNK_BYTES`` of stimulus and ``RANDOM_CHUNK_ROWS`` rows,
+    structured rows included, and the run stops at the first failing
+    chunk, so memory follows one chunk and run time ``count``.
     """
     if count < 0:
         raise NetlistError("count must be >= 0")

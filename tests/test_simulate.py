@@ -276,6 +276,33 @@ def test_exhaustive_chunks_cover_the_space_in_order():
     assert np.array_equal(np.concatenate(seen, axis=1), whole)
 
 
+def n_input_block(n):
+    b = CircuitBuilder(f"inputs{n}", [f"i{k}" for k in range(n)])
+    b.set_output("y", b.inv(b.input("i0")))
+    return b.seal()
+
+
+# 1-5 fill part of one word, 6 fills one, 7 and 8 add run rows, 18 is
+# one whole engine chunk, and 19 and 20 take two and four.
+@pytest.mark.parametrize("n", [*range(1, 9), 18, 19, 20])
+def test_exhaustive_words_are_the_packed_enumeration(n):
+    circuit = n_input_block(n)
+    offsets = []
+    seen = []
+    for offset, words in simulate._exhaustive_words(circuit):
+        offsets.append(offset)
+        assert len(words) == n
+        assert all(row.dtype == np.uint64 for row in words)
+        seen.append(np.stack(words))
+    chunk = min(1 << n, 1 << 18)
+    assert offsets == list(range(0, 1 << n, chunk))
+    # evaluate_batch's packing: zero padding up to a whole word
+    packed = np.packbits(np.stack(exhaustive_columns(n)), axis=1, bitorder="little")
+    padded = np.zeros((n, -(-packed.shape[1] // 8) * 8), np.uint8)
+    padded[:, : packed.shape[1]] = packed
+    assert np.array_equal(np.concatenate(seen, axis=1), padded.view(np.uint64))
+
+
 def test_vector_at_is_a_row_of_the_enumeration():
     c = kogge_stone(width=3)
     n = len(c.inputs)

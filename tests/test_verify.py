@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gatelab import verify
+from gatelab import simulate, verify
 from gatelab.core import CircuitBuilder, GateKind, NetlistError
 from gatelab.generators import REGISTRY, BlockSpec, build_block
 from gatelab.simulate import evaluate_batch, exhaustive_columns, iter_exhaustive
@@ -147,21 +147,73 @@ def counting_engine(monkeypatch):
     return calls
 
 
+def counting_words(monkeypatch):
+    """A list that grows by the vectors of each packed engine chunk that
+    exhaustive verification simulates."""
+    calls = []
+
+    def counting(circuit, words):
+        calls.append(64 * len(words[0]))
+        return simulate._evaluate_words(circuit, words)
+
+    monkeypatch.setattr(verify, "_evaluate_words", counting)
+    return calls
+
+
 def test_exhaustive_stops_at_its_first_failing_chunk(monkeypatch):
-    # n18, the AND(a0, b0) inside p0_0's XOR, turned into an OR makes
-    # p0_0 = a0 ^ b0 wrong first at b0 = 1 alone, index 2^8, in the first
-    # of two chunks; the second is never simulated.
-    adder = build_block(BlockSpec("kogge_stone", {"width": 8}))
-    calls = counting_engine(monkeypatch)
-    report = verify_exhaustive(with_kind(adder, "n18", GateKind.OR2))
-    assert calls == [1 << 16]
+    # kogge_stone(width=9) has 19 inputs, so the sweep takes two engine
+    # chunks of 2^18 vectors.  n20, the AND(a0, b0) inside p0_0's XOR,
+    # turned into an OR makes p0_0 = 0, wrong first at b0 = 1 alone,
+    # index 2^9, in the first chunk; the second is never simulated.
+    adder = build_block(BlockSpec("kogge_stone", {"width": 9}))
+    calls = counting_words(monkeypatch)
+    report = verify_exhaustive(with_kind(adder, "n20", GateKind.OR2))
+    assert calls == [1 << 18]
     assert report.status == "fail"
-    assert report.vectors_tried == 1 << 17
+    assert report.vectors_tried == 1 << 19
     assert report.counterexample == {
-        "index": 256,
+        "index": 512,
         "vector": {p: int(p == "b0") for p in adder.inputs},
         "expected": {"a + b + cin": 1},
         "actual": {"s + 2^w*cout": 0},
+    }
+
+
+def flipped_where(adder, ports):
+    """``adder`` with s0 flipped wherever every input in ``ports`` is 1."""
+    b = CircuitBuilder(adder.name, adder.inputs)
+    outs = b.instantiate(adder, {p: b.input(p) for p in adder.inputs})
+    match = b.input(ports[0])
+    for port in ports[1:]:
+        match = b.and_(match, b.input(port))
+    for port, ref in outs.items():
+        b.set_output(port, b.xor(ref, match) if port == "s0" else ref)
+    return b.seal()
+
+
+@pytest.mark.parametrize(
+    "make, index",
+    [
+        # a1 = a2 = b0 = 1 first at index 3 * 2^16 + 2^9, mid-way through
+        # the fourth 2^16-vector slice of the first engine chunk
+        (lambda adder: flipped_where(adder, ("a1", "a2", "b0")), 3 * 2**16 + 2**9),
+        # n20 turned into a NOR makes p0_0 = a0 | b0, wrong first at
+        # a0 = b0 = 1, index 2^18 + 2^9, in the second engine chunk
+        (lambda adder: with_kind(adder, "n20", GateKind.NOR2), 2**18 + 2**9),
+    ],
+    ids=["fourth-slice", "second-engine-chunk"],
+)
+def test_exhaustive_slices_report_the_single_shot_index(make, index):
+    adder = build_block(BlockSpec("kogge_stone", {"width": 9}))
+    broken = make(adder)
+    columns = dict(zip(adder.inputs, exhaustive_columns(19)))
+    single_shot = ORACLES["adder"].check(columns, evaluate_batch(broken, columns))
+    assert int(np.argmin(single_shot)) == index
+    report = verify_exhaustive(broken)
+    assert report.status == "fail"
+    assert report.counterexample["index"] == index
+    assert report.counterexample["vector"] == {
+        p: int(columns[p][index]) for p in adder.inputs
     }
 
 
@@ -228,12 +280,20 @@ _ONE_BLOCK = 1
 
 def chunk_counts(circuit, count):
     """The chunks of a run of ``count`` random rows at the default budget
-    and at one block per chunk."""
+    and at one block per chunk.  The structured rows and the draw are cut
+    every ``step`` rows, and a cut inside the draw moves back to a
+    multiple of 8 drawn rows."""
+    head = len(structured_rows(circuit))
+    total = head + count
+
+    def chunks(step):
+        cuts = (k * step for k in range(1, total // step + 2))
+        return 1 + sum(cut - max(0, cut - head) % 8 < total for cut in cuts)
+
     rows = min(RANDOM_CHUNK_BYTES // len(circuit.inputs), RANDOM_CHUNK_ROWS)
-    per_chunk = rows // RANDOM_BLOCK_ROWS * RANDOM_BLOCK_ROWS
     return {
-        RANDOM_CHUNK_BYTES: max(1, -(-count // per_chunk)),
-        _ONE_BLOCK: max(1, -(-count // RANDOM_BLOCK_ROWS)),
+        RANDOM_CHUNK_BYTES: chunks(rows // RANDOM_BLOCK_ROWS * RANDOM_BLOCK_ROWS),
+        _ONE_BLOCK: chunks(RANDOM_BLOCK_ROWS),
     }
 
 
@@ -328,8 +388,9 @@ def test_random_counterexample_past_the_first_block_is_pinned(monkeypatch):
 
 
 def test_random_memory_follows_one_chunk(monkeypatch):
-    # Eight chunks of at most 2^20 stimulus bytes each, 8 MB in all: the
-    # run holds one chunk at a time.
+    # Eight chunks' worth of draws at 2^20 stimulus bytes a chunk, 8 MB
+    # in all; the 19 structured rows count against the budget too, so
+    # they take nine chunks.  The run holds one chunk at a time.
     circuit = build_block(BlockSpec("kogge_stone"))
     budget = 1 << 20
     monkeypatch.setattr(verify, "RANDOM_CHUNK_BYTES", budget)
@@ -342,7 +403,7 @@ def test_random_memory_follows_one_chunk(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.ok and len(calls) == 8
+    assert report.ok and len(calls) == 9
     assert peak < 3 * budget
 
 
@@ -358,7 +419,9 @@ def test_narrow_random_chunks_stop_at_the_row_cap(monkeypatch):
     finally:
         tracemalloc.stop()
     assert report.ok
-    assert calls == [4 + RANDOM_CHUNK_ROWS, RANDOM_CHUNK_ROWS, 1]
+    # The 4 structured rows count against the first chunk's rows, whose
+    # draw then ends on a multiple of 8: 2^17 - 8 drawn rows.
+    assert calls == [RANDOM_CHUNK_ROWS - 4, RANDOM_CHUNK_ROWS, 9]
     # The oracle checks the uint8 columns it is given and keeps its sorted
     # bits as bools; int64 copies of them took a chunk to about 61 bytes a
     # row, int64 sorted bits to 26.
