@@ -13,6 +13,7 @@ os.replace, so readers never observe a half-written file.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import re
@@ -266,7 +267,10 @@ def to_dot(circuit: Circuit, annotate: ArrivalMap | None = None) -> str:
 # ---------------------------------------------------------------------------
 
 def write_text(path: str, text: str) -> None:
-    """Atomic write: temp file next to the target, then os.replace."""
+    """Atomic write: temp file next to the target, then os.replace.  A
+    directory target is refused first, so the error names it."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, "Is a directory", path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gatelab-")
     try:

@@ -12,11 +12,12 @@ ints.
 Exhaustive enumeration order is documented and relied on elsewhere:
 vector index v assigns input i (in declared order) the bit
 ``(v >> (n - 1 - i)) & 1``, so ascending index is ascending
-lexicographic order over input tuples.  An exhaustive sweep is built
-from the enumeration in two forms: packed words of 2^18 vectors for the
-engine, and uint8 columns of 2^16 vectors (:func:`iter_exhaustive`) for
-the oracle.  The engine then pays its per-op Python cost once per 2^18
-vectors, while the uint8 bytes held at a time stay at a 2^16 slice.
+lexicographic order over input tuples.  :func:`iter_exhaustive` sweeps
+it in engine chunks of 2^18 vectors, which the engine runs as packed
+words built straight from the enumeration, and yields each chunk in
+slices of 2^16 vectors as uint8 input and output columns for the
+oracle.  The op list's per-op Python cost is then paid once per engine
+chunk, while the uint8 bytes held at a time follow one slice.
 """
 
 from __future__ import annotations
@@ -176,31 +177,35 @@ def exhaustive_columns(n_inputs: int) -> list[np.ndarray]:
     return list(cols)
 
 
-# An exhaustive sweep runs the op list on engine chunks of 2^18 vectors
-# (4,096 words an input), so its per-op Python cost is paid once per
-# 2^18 vectors, and the oracle checks them in uint8 slices of 2^16
-# vectors, so the bytes of stimulus and unpacked outputs held stay at
-# one slice.  kogge_stone(width=11)'s 2^23 vectors, in-process on 2
-# vCPUs: 28 ms a sweep at peak RSS 33.2 MB, against 40 ms at 32.6 MB
-# with 2^16-vector engine chunks.  2^19-vector engine chunks took 27 ms
-# at 35.1 MB and 2^20 30 ms at 39.3 MB; 2^15 or 2^14-vector slices took
-# 35 and 49 ms, since the oracle's cost per call outweighs the bytes
-# saved.
+# log2 of the vectors in an exhaustive sweep's engine chunk and slice
+# (see the module docstring).  kogge_stone(width=11)'s 2^23 vectors,
+# in-process on 2 vCPUs: 28 ms a sweep at peak RSS 33.2 MB, against 40
+# ms at 32.6 MB with 2^16-vector engine chunks.  2^19-vector engine
+# chunks took 27 ms at 35.1 MB and 2^20 30 ms at 39.3 MB; 2^15 or
+# 2^14-vector slices took 35 and 49 ms, since the oracle's cost per call
+# outweighs the bytes saved.
 _ENGINE_CHUNK_LOG2 = 18
 _ORACLE_SLICE_LOG2 = 16
 
 
-def _exhaustive_words(circuit: Circuit) -> Iterator[tuple[int, list[np.ndarray]]]:
-    """Yield (offset, input words) engine chunks of 2^18 vectors covering
-    all 2^n vectors, one uint64 word array per input, packed as
-    :func:`evaluate_batch` packs columns.
+def iter_exhaustive(
+    circuit: Circuit,
+) -> Iterator[tuple[int, dict[str, np.ndarray], dict[str, np.ndarray]]]:
+    """Yield (offset, input columns, output columns) for each slice of
+    all 2^n vectors, in enumeration order.
 
-    Input i holds bit s = n - 1 - i of the index.  Below bit 6 that bit
-    follows one fixed pattern in every word; from bit 6 up to the
-    chunk's top bit it runs in blocks of 2^(s - 6) all-0 and all-1
-    words, the same in every chunk; above, it is constant within a
-    chunk.  Only the run rows are written, once per sweep; pattern and
-    constant rows are read-only broadcast views of one word.
+    The engine runs lazily, once per engine chunk when its first slice
+    is reached, on packed words built straight from the enumeration.
+    Input i holds bit s = n - 1 - i of the index: below bit 6 one fixed
+    pattern in every word, up to the chunk's top bit runs of 2^(s - 6)
+    all-0 and all-1 words written once per sweep, and above that a
+    constant; pattern and constant rows are read-only broadcast views
+    of one word.
+
+    The input columns are the rows of one reused (inputs, vectors) uint8
+    buffer, which the next slice overwrites; of its rows, only those of
+    the inputs above the slice's top bit change.  The output columns
+    are unpacked afresh for each slice from its chunk's output words.
     """
     import numpy as np
 
@@ -218,34 +223,25 @@ def _exhaustive_words(circuit: Circuit) -> Iterator[tuple[int, list[np.ndarray]]
             runs = np.repeat(np.array([0, ones], np.uint64), 1 << (s - 6))
             rows.append(np.tile(runs, count >> (s - 5)))
     constant = [np.broadcast_to(np.uint64(word), (count,)) for word in (0, ones)]
+    varying = min(n, _ORACLE_SLICE_LOG2)  # the last inputs, which vary in a slice
+    size = 1 << varying
+    buffer = np.empty((n, size), np.uint8)
+    buffer[n - varying :] = exhaustive_columns(varying)
     for start in range(0, 1 << n, 1 << low):
         high = list(vector_at(circuit, start).values())[: n - low]
-        yield start, [constant[bit] for bit in high] + rows
-
-
-def iter_exhaustive(circuit: Circuit) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
-    """Yield (offset, input columns) chunks of 2^16 vectors covering all
-    2^n vectors.
-
-    Every chunk is written into one reused (inputs, vectors) uint8
-    buffer, so a chunk's columns are overwritten by the next chunk.  The
-    columns of the inputs below bit 16 are the same in every chunk and
-    are written once; each chunk rewrites only the rows of the higher
-    inputs, which are constant within it.  These are the oracle's slices
-    of an exhaustive sweep; the engine simulates the same vectors in
-    packed chunks of 2^18 (see the module docstring).
-    """
-    import numpy as np
-
-    n = len(circuit.inputs)
-    low = min(n, _ORACLE_SLICE_LOG2)  # the last inputs, which vary in a chunk
-    chunk = 1 << low
-    buffer = np.empty((n, chunk), np.uint8)
-    buffer[n - low :] = exhaustive_columns(low)
-    for start in range(0, 1 << n, chunk):
-        for row, bit in zip(buffer[: n - low], vector_at(circuit, start).values()):
-            row.fill(bit)
-        yield start, dict(zip(circuit.inputs, buffer))
+        words = [constant[bit] for bit in high] + rows
+        outs = _evaluate_words(circuit, words).view(np.uint8)
+        for first in range(start, start + (1 << low), size):
+            top = vector_at(circuit, first).values()  # constant in a slice
+            for row, bit in zip(buffer[: n - varying], top):
+                row.fill(bit)
+            at = (first - start) // 8  # a vector a bit
+            # An inversion sets the padding bits; count drops them.
+            bits = np.unpackbits(
+                outs[:, at : at + -(-size // 8)], axis=1, count=size, bitorder="little"
+            )
+            columns = dict(zip(circuit.inputs, buffer))
+            yield first, columns, dict(zip(circuit.outputs, bits))
 
 
 def vector_at(circuit: Circuit, index: int) -> dict[str, int]:

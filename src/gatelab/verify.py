@@ -36,13 +36,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequenc
 
 from .core import SCHEMA_VERSION, Circuit, NetlistError
 from .generators import COMPRESSOR_INPUTS, REGISTRY
-from .simulate import (
-    _evaluate_words,
-    _exhaustive_words,
-    evaluate_batch,
-    exhaustive_columns,
-    iter_exhaustive,
-)
+from .simulate import evaluate_batch, exhaustive_columns, iter_exhaustive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -296,9 +290,12 @@ def _first_failure(
     None when all pass.
 
     ``chunks`` yields (offset, input columns, output columns) in scan
-    order; a failure at row ``local`` of a chunk is vector
-    ``offset + local``.  Sources simulate lazily, so no chunk after the
-    failing one is simulated.
+    order, as :func:`_random_chunks` and
+    :func:`~gatelab.simulate.iter_exhaustive` do; a failure at row
+    ``local`` of a chunk is vector ``offset + local``.  Both simulate
+    lazily, so the loop's return leaves every later pass of the engine
+    unrun: a random chunk is one pass, and an exhaustive engine chunk
+    is one pass for several slices.
     """
     import numpy as np
 
@@ -322,30 +319,6 @@ def _first_failure(
     return None
 
 
-def _exhaustive_chunks(circuit: Circuit) -> Iterator[tuple[int, Columns, Columns]]:
-    """(offset, input columns, output columns) for every slice of
-    :func:`iter_exhaustive`.
-
-    The engine runs once per packed chunk of the enumeration, and its
-    output words are unpacked one slice at a time, so the uint8 bytes
-    held follow a slice, not an engine chunk.
-    """
-    import numpy as np
-
-    slices = iter_exhaustive(circuit)
-    for offset, words in _exhaustive_words(circuit):
-        outs = _evaluate_words(circuit, words).view(np.uint8)
-        end = offset + 8 * outs.shape[1]  # a vector a bit
-        for start, columns in slices:
-            length = len(columns[circuit.inputs[0]])
-            first = (start - offset) // 8
-            packed = outs[:, first : first + -(-length // 8)]
-            bits = np.unpackbits(packed, axis=1, count=length, bitorder="little")
-            yield start, columns, dict(zip(circuit.outputs, bits))
-            if start + length >= end:
-                break
-
-
 # ---------------------------------------------------------------------------
 # verification modes
 # ---------------------------------------------------------------------------
@@ -359,7 +332,7 @@ def verify_exhaustive(circuit: Circuit) -> VerificationReport:
             f"{EXHAUSTIVE_INPUT_BOUND}. Use random mode with a seed instead."
         )
     orc = resolve_oracle(circuit)
-    failure = _first_failure(circuit, orc, _exhaustive_chunks(circuit))
+    failure = _first_failure(circuit, orc, iter_exhaustive(circuit))
     return _report(
         circuit, failure, oracle=orc.name, mode="exhaustive", vectors_tried=1 << n
     )

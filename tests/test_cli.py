@@ -101,6 +101,14 @@ def test_unwritable_output_is_an_io_error(run_cli):
     assert "io error" in err
 
 
+def test_directory_output_is_an_io_error_that_names_it(run_cli, tmp_path):
+    code, _, err = run_cli("build", "sorter2", "--out", str(tmp_path))
+    assert code == 3
+    assert str(tmp_path) in err
+    assert ".gatelab-" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "exc", [MemoryError("cannot allocate 80.0 TiB"), RuntimeError("boom")]
 )

@@ -264,43 +264,31 @@ def test_exhaustive_columns_are_the_index_bits():
         assert all(col.dtype == np.uint8 for col in cols)
 
 
-def test_exhaustive_chunks_cover_the_space_in_order():
-    c = kogge_stone(width=8)  # 17 inputs: two chunks of 2^16 vectors
-    offsets = []
-    seen = []
-    for offset, columns in iter_exhaustive(c):
-        offsets.append(offset)
-        seen.append(np.stack([columns[p] for p in c.inputs]))
-    assert offsets == [0, 1 << 16]
-    whole = np.stack(exhaustive_columns(17))
-    assert np.array_equal(np.concatenate(seen, axis=1), whole)
-
-
-def n_input_block(n):
+def inverter_block(n):
     b = CircuitBuilder(f"inputs{n}", [f"i{k}" for k in range(n)])
-    b.set_output("y", b.inv(b.input("i0")))
+    for k in range(n):
+        b.set_output(f"y{k}", b.inv(b.input(f"i{k}")))
     return b.seal()
 
 
-# 1-5 fill part of one word, 6 fills one, 7 and 8 add run rows, 18 is
-# one whole engine chunk, and 19 and 20 take two and four.
-@pytest.mark.parametrize("n", [*range(1, 9), 18, 19, 20])
-def test_exhaustive_words_are_the_packed_enumeration(n):
-    circuit = n_input_block(n)
-    offsets = []
-    seen = []
-    for offset, words in simulate._exhaustive_words(circuit):
+# 1-5 fill part of one word and 6 fills one; 7, 8 and 15 a part of one
+# slice, 16 one whole slice, 17 and 18 several slices of one engine
+# chunk, and 19 and 20 several engine chunks.  An inversion sets the
+# padding bits, which the outputs must not show.
+@pytest.mark.parametrize("n", [*range(1, 9), *range(15, 21)])
+def test_exhaustive_slices_are_the_simulated_enumeration(n):
+    circuit = inverter_block(n)
+    offsets, ins, outs = [], [], []
+    for offset, columns, results in iter_exhaustive(circuit):
         offsets.append(offset)
-        assert len(words) == n
-        assert all(row.dtype == np.uint64 for row in words)
-        seen.append(np.stack(words))
-    chunk = min(1 << n, 1 << 18)
-    assert offsets == list(range(0, 1 << n, chunk))
-    # evaluate_batch's packing: zero padding up to a whole word
-    packed = np.packbits(np.stack(exhaustive_columns(n)), axis=1, bitorder="little")
-    padded = np.zeros((n, -(-packed.shape[1] // 8) * 8), np.uint8)
-    padded[:, : packed.shape[1]] = packed
-    assert np.array_equal(np.concatenate(seen, axis=1), padded.view(np.uint64))
+        ins.append(np.stack([columns[p] for p in circuit.inputs]))
+        outs.append(np.stack([results[p] for p in circuit.outputs]))
+    assert offsets == list(range(0, 1 << n, 1 << min(n, 16)))
+    whole = exhaustive_columns(n)
+    assert np.array_equal(np.concatenate(ins, axis=1), np.stack(whole))
+    batch = evaluate_batch(circuit, dict(zip(circuit.inputs, whole)))
+    want = np.stack([batch[p] for p in circuit.outputs])
+    assert np.array_equal(np.concatenate(outs, axis=1), want)
 
 
 def test_vector_at_is_a_row_of_the_enumeration():
