@@ -1,5 +1,6 @@
-"""Command-line surface: build, verify, depth and compare.  The stage
-model of depth and compare has one setting, --inv-cost (0 or 1).
+"""Command-line surface: build, verify, depth and compare.  Every command
+takes the registry's block flags, --out and --manifest; the stage model
+of depth and compare has one setting, --inv-cost (0 or 1).
 
 Machine-readable JSON goes to stdout (or --out); human-readable
 status and tables go to stderr.  Exit codes: 0 success or pass, 1
@@ -11,13 +12,16 @@ chunks of bounded size, so --count bounds its run time, not its memory.
 Identical invocations produce byte-identical JSON, so reports can be
 diffed across runs.  Passing --manifest writes a RunManifest JSON
 recording the argument vector, block specs, seeds, and inv_cost;
-re-running the recorded argv reproduces the reports byte for byte.
+re-running the recorded argv reproduces the reports byte for byte.  A
+manifest may not name the output file or '-' (a usage error, before
+anything is written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -37,19 +41,6 @@ from .verify import (
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="write the primary output to this path ('-' for stdout)",
-    )
-    parser.add_argument(
-        "--manifest",
-        default=None,
-        help="also write a RunManifest JSON to this path",
-    )
-
-
 def _param_specs() -> dict[str, ParamSpec]:
     """Every registry parameter once, in registry order."""
     specs: dict[str, ParamSpec] = {}
@@ -57,17 +48,6 @@ def _param_specs() -> dict[str, ParamSpec]:
         for key, spec in info.params.items():
             specs.setdefault(key, spec)
     return specs
-
-
-def _add_block_flags(parser: argparse.ArgumentParser) -> None:
-    for key, spec in _param_specs().items():
-        parser.add_argument(
-            f"--{key.replace('_', '-')}",
-            type=spec.kind,
-            choices=spec.choices,
-            default=None,
-            help=spec.help,
-        )
 
 
 def _block_spec(args: argparse.Namespace, generator: str, strict: bool) -> BlockSpec:
@@ -95,21 +75,31 @@ def _block_spec(args: argparse.Namespace, generator: str, strict: bool) -> Block
     return BlockSpec(generator, params)
 
 
-def _emit(args: argparse.Namespace, text: str, note: str | None = None) -> None:
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-    else:
-        write_text(args.out, text)
-        print(f"wrote {args.out}", file=sys.stderr)
-    if note:
-        print(note, file=sys.stderr)
-
-
-def _write_manifest(
+def _emit(
     args: argparse.Namespace,
+    text: str,
+    note: str | None,
     specs: list[BlockSpec],
     settings: dict,
 ) -> None:
+    """Write the document, then the note, then the manifest if asked for
+    one; a manifest on '-' or on the document's path is refused first."""
+    to_file = args.out not in (None, "-")
+    if args.manifest == "-" or (
+        args.manifest
+        and to_file
+        and os.path.realpath(args.manifest) == os.path.realpath(args.out)
+    ):
+        raise ParameterError(
+            f"--manifest {args.manifest!r} must be a file other than the output"
+        )
+    if to_file:
+        write_text(args.out, text)
+        print(f"wrote {args.out}", file=sys.stderr)
+    else:
+        sys.stdout.write(text)
+    if note:
+        print(note, file=sys.stderr)
     if not args.manifest:
         return
     doc = {
@@ -151,8 +141,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     text = render(circuit, args.format, annotate)
     if args.out is None:
         args.out = f"{spec.generator}.{FORMATS[args.format]}"
-    _emit(args, text)
-    _write_manifest(args, [spec], {"format": args.format})
+    _emit(args, text, None, [spec], {"format": args.format})
     return 0
 
 
@@ -176,17 +165,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _emit(
         args,
         report.to_json(),
-        note=f"{spec.label()}: {report.status} ({report.vectors_tried} vectors)",
-    )
-    _write_manifest(
-        args,
+        f"{spec.label()}: {report.status} ({report.vectors_tried} vectors)",
         [spec],
-        {
-            "check": args.check,
-            "mode": report.mode,
-            "seed": args.seed,
-            "count": args.count,
-        },
+        {"check": args.check, "mode": report.mode, "seed": args.seed, "count": args.count},
     )
     return 0 if report.ok else 1
 
@@ -208,12 +189,8 @@ def cmd_depth(args: argparse.Namespace) -> int:
     lines = [f"{spec.label()}: depth {amap.depth} (inv_cost={amap.inv_cost})"]
     for port, stage in amap.output_arrival.items():
         lines.append(f"  {port}: {stage}")
-    _emit(args, json.dumps(doc, indent=2) + "\n", note="\n".join(lines))
-    _write_manifest(
-        args,
-        [spec],
-        {"model": {"inv_cost": amap.inv_cost}, "input_arrivals": given},
-    )
+    settings = {"model": {"inv_cost": amap.inv_cost}, "input_arrivals": given}
+    _emit(args, json.dumps(doc, indent=2) + "\n", "\n".join(lines), [spec], settings)
     return 0
 
 
@@ -223,8 +200,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     specs = [_block_spec(args, name, strict=False) for name in args.blocks]
     circuits = [build_block(spec) for spec in specs]
     report = compare(circuits, args.inv_cost)
-    _emit(args, report.to_json(), note=report.to_text())
-    _write_manifest(args, specs, {"model": {"inv_cost": report.inv_cost}})
+    settings = {"model": {"inv_cost": report.inv_cost}}
+    _emit(args, report.to_json(), report.to_text(), specs, settings)
     return 0
 
 
@@ -240,12 +217,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"gatelab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    known = ", ".join(sorted(REGISTRY))
+    shared = argparse.ArgumentParser(add_help=False)
+    for key, spec in _param_specs().items():
+        shared.add_argument(
+            f"--{key.replace('_', '-')}",
+            type=spec.kind,
+            choices=spec.choices,
+            default=None,
+            help=spec.help,
+        )
+    shared.add_argument(
+        "--out",
+        default=None,
+        help="write the primary output to this path ('-' for stdout)",
+    )
+    shared.add_argument(
+        "--manifest",
+        default=None,
+        help="also write a RunManifest JSON to this path",
+    )
+    stages = argparse.ArgumentParser(add_help=False)
+    stages.add_argument("--inv-cost", type=int, choices=(0, 1), default=0, dest="inv_cost")
+    known = f"known blocks: {', '.join(sorted(REGISTRY))}"
 
     p = sub.add_parser(
         "build",
         help="generate a block and write it in a chosen format",
-        description=f"known blocks: {known}",
+        description=known,
+        parents=[shared],
     )
     p.add_argument("block")
     p.add_argument("--format", choices=FORMATS, default="json")
@@ -254,14 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="stamp stage arrivals on dot nodes",
     )
-    _add_block_flags(p)
-    _add_common(p)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser(
         "verify",
         help="check a block against its arithmetic oracle",
-        description=f"known blocks: {known}",
+        description=known,
+        parents=[shared],
     )
     p.add_argument("block")
     mode = p.add_mutually_exclusive_group()
@@ -277,36 +275,30 @@ def build_parser() -> argparse.ArgumentParser:
         default="oracle",
         help="what to verify (cin-independence needs compressor ports)",
     )
-    _add_block_flags(p)
-    _add_common(p)
     p.set_defaults(func=cmd_verify, mode=None)
 
     p = sub.add_parser(
         "depth",
         help="stage arrival analysis",
-        description=f"known blocks: {known}",
+        description=known,
+        parents=[shared, stages],
     )
     p.add_argument("block")
-    p.add_argument("--inv-cost", type=int, choices=(0, 1), default=0, dest="inv_cost")
     p.add_argument(
         "--arrival",
         action="append",
         metavar="NAME=STAGE",
         help="input arrival override, repeatable",
     )
-    _add_block_flags(p)
-    _add_common(p)
     p.set_defaults(func=cmd_depth)
 
     p = sub.add_parser(
         "compare",
         help="side-by-side depth and area for two or more blocks",
-        description=f"known blocks: {known}",
+        description=known,
+        parents=[shared, stages],
     )
     p.add_argument("blocks", nargs="+")
-    p.add_argument("--inv-cost", type=int, choices=(0, 1), default=0, dest="inv_cost")
-    _add_block_flags(p)
-    _add_common(p)
     p.set_defaults(func=cmd_compare)
 
     return parser

@@ -276,6 +276,10 @@ def write_text(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        # mkstemp made the file 0600; give it the mode open(path, "w") would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequenc
 
 from .core import SCHEMA_VERSION, Circuit, NetlistError
 from .generators import COMPRESSOR_INPUTS, REGISTRY
-from .simulate import evaluate_batch, exhaustive_columns, iter_exhaustive
+from .simulate import evaluate_batch, iter_exhaustive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -471,23 +471,20 @@ def verify_cout_independence(circuit: Circuit) -> VerificationReport:
     """Co1 and Co2 must not depend on the carry-ins.
 
     Sweeps all 128 x-vectors against all four (Ci1, Ci2) pairs and
-    compares the column carry-outs across pairs.
+    compares the column carry-outs across pairs.  The inputs must be the
+    compressor ports in order, so the carry-ins are the enumeration's two
+    low bits and rows 4x to 4x + 3 hold x-vector x.
     """
     import numpy as np
 
     xs, cins = COMPRESSOR_INPUTS[:7], COMPRESSOR_INPUTS[7:]
-    missing = [p for p in COMPRESSOR_INPUTS if p not in circuit.inputs]
-    missing += [p for p in ("Co1", "Co2") if p not in circuit.outputs]
-    if missing:
+    if circuit.inputs != COMPRESSOR_INPUTS or not {"Co1", "Co2"} <= set(circuit.outputs):
         raise NetlistError(
-            f"{circuit.name} lacks compressor ports: {missing}"
+            f"{circuit.name} needs the compressor ports: inputs exactly "
+            f"{list(COMPRESSOR_INPUTS)} in that order, and outputs Co1 and Co2"
         )
-    # Row 4*x + pair holds x-vector x with carry-in pair `pair`.
-    columns = {p: np.zeros(512, np.uint8) for p in circuit.inputs}
-    columns.update(zip(COMPRESSOR_INPUTS, exhaustive_columns(9)))
-    outs = evaluate_batch(circuit, columns)
-
-    co = {k: np.asarray(outs[k]).reshape(128, 4) for k in ("Co1", "Co2")}
+    ((_, columns, outs),) = iter_exhaustive(circuit)
+    co = {k: outs[k].reshape(128, 4) for k in ("Co1", "Co2")}
     failure = None
     for port in ("Co1", "Co2"):
         diff = co[port] != co[port][:, :1]

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -294,6 +296,41 @@ def test_manifest_records_the_run(run_cli, tmp_path):
     before = report.read_bytes()
     assert run_cli(*doc["argv"])[0] == 0
     assert report.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build", "sfa", "--manifest", "sfa.json"),  # build's default output
+        ("build", "sfa", "--out", "r.json", "--manifest", "./r.json"),
+        ("verify", "sfa", "--manifest", "-"),
+    ],
+    ids=["default-output", "same-path", "dash"],
+)
+def test_manifest_may_not_name_the_output_or_stdout(run_cli, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"]
+)
+def test_written_files_take_the_mode_the_umask_gives(run_cli, tmp_path, umask, mode):
+    out, manifest = tmp_path / "sfa.json", tmp_path / "run.json"
+    previous = os.umask(umask)
+    try:
+        code, _, _ = run_cli(
+            "build", "sfa", "--out", str(out), "--manifest", str(manifest)
+        )
+    finally:
+        os.umask(previous)
+    assert code == 0
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+    assert stat.S_IMODE(manifest.stat().st_mode) == mode
 
 
 def test_version_flag(run_cli):

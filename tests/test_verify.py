@@ -11,7 +11,7 @@ import pytest
 
 from gatelab import simulate, verify
 from gatelab.core import CircuitBuilder, GateKind, NetlistError
-from gatelab.generators import REGISTRY, BlockSpec, build_block
+from gatelab.generators import COMPRESSOR_INPUTS, REGISTRY, BlockSpec, build_block
 from gatelab.simulate import evaluate_batch, exhaustive_columns
 from gatelab.verify import (
     EXHAUSTIVE_INPUT_BOUND,
@@ -47,18 +47,24 @@ def with_kind(circuit, net_name, kind):
     return dataclasses.replace(circuit, cells=cells)
 
 
+def compressor_shaped(co1, co2, inputs=COMPRESSOR_INPUTS):
+    """Block with the compressor's outputs; ``co1`` and ``co2`` build each
+    carry-out from the builder and a port -> net map."""
+    b = CircuitBuilder("leaky", list(inputs))
+    net = {p: b.input(p) for p in inputs}
+    b.set_output("Sum", b.and_(net["x1"], net["x1"]))
+    b.set_output("Carry", b.or_(net["x1"], net["x1"]))
+    b.set_output("Co1", co1(b, net))
+    b.set_output("Co2", co2(b, net))
+    return b.seal()
+
+
 def leaky_compressor():
     """Compressor-shaped block whose Co1 echoes a carry-in."""
-    b = CircuitBuilder(
-        "leaky", [f"x{i}" for i in range(1, 8)] + ["Ci1", "Ci2"]
+    return compressor_shaped(
+        lambda b, net: b.or_(net["Ci1"], net["Ci2"], name="co1"),
+        lambda b, net: b.and_(net["Ci1"], net["Ci2"], name="co2"),
     )
-    x1 = b.input("x1")
-    ci1, ci2 = b.input("Ci1"), b.input("Ci2")
-    b.set_output("Sum", b.and_(x1, x1))
-    b.set_output("Carry", b.or_(x1, x1))
-    b.set_output("Co1", b.or_(ci1, ci2, name="co1"))
-    b.set_output("Co2", b.and_(ci1, ci2, name="co2"))
-    return b.seal()
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +566,40 @@ def test_leaky_carry_out_is_caught():
     assert (ce["value_a"], ce["value_b"]) == (0, 1)
 
 
+def test_co2_only_leak_is_caught():
+    report = verify_cout_independence(
+        compressor_shaped(
+            lambda b, net: b.and_(net["x1"], net["x2"], name="co1"),
+            lambda b, net: b.and_(net["x2"], net["Ci2"], name="co2"),
+        )
+    )
+    assert report.status == "fail"
+    ce = report.counterexample
+    assert ce["output"] == "Co2"
+    assert ce["x_vector"] == {f"x{i}": int(i == 2) for i in range(1, 8)}
+    assert ce["carry_in_a"] == [0, 0]
+    assert ce["carry_in_b"] == [0, 1]
+    assert (ce["value_a"], ce["value_b"]) == (0, 1)
+
+
 def test_independence_needs_compressor_ports():
     with pytest.raises(NetlistError, match="ports"):
         verify_cout_independence(build_block(BlockSpec("sorter2")))
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    [COMPRESSOR_INPUTS[7:] + COMPRESSOR_INPUTS[:7], COMPRESSOR_INPUTS + ("x8",)],
+    ids=["reordered", "extra-input"],
+)
+def test_independence_needs_the_compressor_inputs_exactly(inputs):
+    block = compressor_shaped(
+        lambda b, net: b.and_(net["x1"], net["x2"], name="co1"),
+        lambda b, net: b.or_(net["x1"], net["x2"], name="co2"),
+        inputs,
+    )
+    with pytest.raises(NetlistError, match="ports"):
+        verify_cout_independence(block)
 
 
 # ---------------------------------------------------------------------------
