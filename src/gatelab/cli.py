@@ -14,7 +14,7 @@ diffed across runs.  Passing --manifest writes a RunManifest JSON
 recording the argument vector, block specs, seeds, and inv_cost;
 re-running the recorded argv reproduces the reports byte for byte.  A
 manifest may not name the output file or '-' (a usage error, before
-anything is written).
+anything is written), and neither --out nor --manifest may be empty.
 """
 
 from __future__ import annotations
@@ -83,9 +83,12 @@ def _emit(
     settings: dict,
 ) -> None:
     """Write the document, then the note, then the manifest if asked for
-    one; a manifest on '-' or on the document's path is refused first."""
+    one; an empty --out, and a manifest that is empty, '-' or the
+    document's path, are refused first."""
+    if args.out == "":
+        raise ParameterError("--out needs a path, or '-' for stdout")
     to_file = args.out not in (None, "-")
-    if args.manifest == "-" or (
+    if args.manifest in ("", "-") or (
         args.manifest
         and to_file
         and os.path.realpath(args.manifest) == os.path.realpath(args.out)
@@ -100,7 +103,7 @@ def _emit(
         sys.stdout.write(text)
     if note:
         print(note, file=sys.stderr)
-    if not args.manifest:
+    if args.manifest is None:
         return
     doc = {
         "schema_version": SCHEMA_VERSION,

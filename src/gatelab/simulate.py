@@ -7,15 +7,17 @@ that list on uint64 words that each hold 64 vectors, one word array per
 live net, so exhaustive sweeps and large random samples are
 bitwise-parallel across vectors; columns are packed on the way in and
 unpacked on the way out.  A single vector runs the same list on Python
-ints.
+ints, and so does a whole small input space, each net one 2^n-bit int.
 
 Exhaustive enumeration order is documented and relied on elsewhere:
 vector index v assigns input i (in declared order) the bit
 ``(v >> (n - 1 - i)) & 1``, so ascending index is ascending
-lexicographic order over input tuples.  :func:`iter_exhaustive` sweeps
-it in engine chunks of 2^18 vectors, which the engine runs as packed
-words built straight from the enumeration, and yields each chunk in
-slices of 2^16 vectors as uint8 input and output columns for the
+lexicographic order over input tuples.  It has two sources.
+:func:`_exhaustive_ints` runs all 2^n vectors at once on Python ints
+whose bit v is vector v, and needs no numpy.  :func:`iter_exhaustive`
+sweeps it in engine chunks of 2^18 vectors, which the engine runs as
+packed words built straight from the enumeration, and yields each chunk
+in slices of 2^16 vectors as uint8 input and output columns for the
 oracle.  The op list's per-op Python cost is then paid once per engine
 chunk, while the uint8 bytes held at a time follow one slice.
 """
@@ -175,6 +177,24 @@ def exhaustive_columns(n_inputs: int) -> list[np.ndarray]:
         runs = np.repeat(np.array([0, 1], np.uint8), 1 << s)
         col[:] = np.tile(runs, 1 << (n_inputs - 1 - s))
     return list(cols)
+
+
+def _exhaustive_ints(circuit: Circuit) -> dict[str, int]:
+    """Each output's values at all 2^n vectors as one 2^n-bit int, whose
+    bit v is the value at enumeration index v.
+
+    Input i holds bit s = n - 1 - i of the index: the 2^(s+1)-bit period
+    of 2^s zeros, then 2^s ones, repeated by multiplying it with the int
+    whose bits 0, 2^(s+1), 2 * 2^(s+1), ... are set.
+    """
+    n = len(circuit.inputs)
+    mask = (1 << (1 << n)) - 1
+    words = [
+        mask // ((1 << (2 << s)) - 1) * (((1 << (1 << s)) - 1) << (1 << s))
+        for s in range(n - 1, -1, -1)
+    ]
+    values = _run(circuit, words, mask)
+    return {port: values[net] for port, net in zip(circuit.outputs, circuit.output_nets)}
 
 
 # log2 of the vectors in an exhaustive sweep's engine chunk and slice

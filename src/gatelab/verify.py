@@ -19,8 +19,11 @@ Both modes check their vectors chunk by chunk through one loop, which
 stops at the first failing chunk.  A random chunk holds at most
 ``RANDOM_CHUNK_BYTES`` of stimulus and ``RANDOM_CHUNK_ROWS`` rows,
 structured rows included, so a run's memory follows one chunk and its
-run time follows ``count``.  An exhaustive sweep simulates its vectors
-in packed chunks and checks them in smaller slices (see simulate).
+run time follows ``count``.  An exhaustive sweep of at most 9 inputs
+runs all its vectors at once on Python ints and checks them one by one
+through the oracle's ``explain``, so it loads no numpy; a wider sweep
+simulates its vectors in packed chunks and checks them in smaller
+slices (see simulate).  Both report the same first failure.
 
 Failures report the first counterexample in scan order; for
 exhaustive mode that is the lexicographically first failing input
@@ -36,12 +39,18 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequenc
 
 from .core import SCHEMA_VERSION, Circuit, NetlistError
 from .generators import COMPRESSOR_INPUTS, REGISTRY
-from .simulate import evaluate_batch, iter_exhaustive
+from .simulate import _exhaustive_ints, evaluate_batch, iter_exhaustive, vector_at
 
 if TYPE_CHECKING:
     import numpy as np
 
 EXHAUSTIVE_INPUT_BOUND = 24
+# Exhaustive sweeps of at most this many inputs run on Python ints (see
+# simulate._exhaustive_ints) and need no numpy.  In-process on 2 vCPUs
+# with Python 3.11, the int sweep and its per-vector check took 1.7 ms
+# at 9 inputs, 10 ms at 11 and 48 ms at 13 (the numpy sweep 0.13-0.2
+# ms), while importing numpy costs a fresh process about 30 ms.
+_INT_SWEEP_INPUTS = 9
 PRNG_NAME = "numpy default_rng (PCG64)"
 
 
@@ -283,6 +292,18 @@ def _report(circuit: Circuit, failure: dict | None, **fields) -> VerificationRep
     )
 
 
+def _passes(expected: dict, actual: dict) -> bool:
+    """The scalar pass rule: a vector passes when ``explain``'s expected
+    values equal its actual values, in order.  Each oracle's ``check``
+    agrees with it on every row (tests pin that)."""
+    return list(expected.values()) == list(actual.values())
+
+
+def _counterexample(oracle: Oracle, index: int, vec: dict, out: dict) -> dict:
+    expected, actual = oracle.explain(vec, out)
+    return {"index": index, "vector": vec, "expected": expected, "actual": actual}
+
+
 def _first_failure(
     circuit: Circuit, oracle: Oracle, chunks: Iterable[tuple[int, Columns, Columns]]
 ) -> dict | None:
@@ -295,7 +316,9 @@ def _first_failure(
     ``local`` of a chunk is vector ``offset + local``.  Both simulate
     lazily, so the loop's return leaves every later pass of the engine
     unrun: a random chunk is one pass, and an exhaustive engine chunk
-    is one pass for several slices.
+    is one pass for several slices.  Sweeps small enough for
+    :func:`_first_scalar_failure` do not come here; both return the same
+    counterexample.
     """
     import numpy as np
 
@@ -305,17 +328,24 @@ def _first_failure(
             local = int(np.argmin(ok))
             vec = {port: int(columns[port][local]) for port in circuit.inputs}
             out = {port: int(outs[port][local]) for port in circuit.outputs}
-            expected, actual = oracle.explain(vec, out)
-            return {
-                "index": offset + local,
-                "vector": vec,
-                "expected": expected,
-                "actual": actual,
-            }
+            return _counterexample(oracle, offset + local, vec, out)
         # Dropped before the next chunk is simulated: held through it, a
         # 35 s run of kogge_stone(width=11) sweeps peaked at 36.1 MB RSS
         # against 35.5.
         del ok
+    return None
+
+
+def _first_scalar_failure(circuit: Circuit, oracle: Oracle) -> dict | None:
+    """:func:`_first_failure` of a whole exhaustive sweep, simulated at
+    once on Python ints and checked vector by vector in enumeration order
+    by :func:`_passes`."""
+    outs = _exhaustive_ints(circuit)
+    for index in range(1 << len(circuit.inputs)):
+        vec = vector_at(circuit, index)
+        out = {port: word >> index & 1 for port, word in outs.items()}
+        if not _passes(*oracle.explain(vec, out)):
+            return _counterexample(oracle, index, vec, out)
     return None
 
 
@@ -324,7 +354,8 @@ def _first_failure(
 # ---------------------------------------------------------------------------
 
 def verify_exhaustive(circuit: Circuit) -> VerificationReport:
-    """Check every input combination; refuses above 24 inputs."""
+    """Check every input combination, on Python ints up to 9 inputs and
+    on numpy words above; refuses above 24 inputs."""
     n = len(circuit.inputs)
     if n > EXHAUSTIVE_INPUT_BOUND:
         raise ExhaustiveBoundError(
@@ -332,7 +363,10 @@ def verify_exhaustive(circuit: Circuit) -> VerificationReport:
             f"{EXHAUSTIVE_INPUT_BOUND}. Use random mode with a seed instead."
         )
     orc = resolve_oracle(circuit)
-    failure = _first_failure(circuit, orc, iter_exhaustive(circuit))
+    if n <= _INT_SWEEP_INPUTS:
+        failure = _first_scalar_failure(circuit, orc)
+    else:
+        failure = _first_failure(circuit, orc, iter_exhaustive(circuit))
     return _report(
         circuit, failure, oracle=orc.name, mode="exhaustive", vectors_tried=1 << n
     )
@@ -473,31 +507,36 @@ def verify_cout_independence(circuit: Circuit) -> VerificationReport:
     Sweeps all 128 x-vectors against all four (Ci1, Ci2) pairs and
     compares the column carry-outs across pairs.  The inputs must be the
     compressor ports in order, so the carry-ins are the enumeration's two
-    low bits and rows 4x to 4x + 3 hold x-vector x.
+    low bits and vectors 4x to 4x + 3 hold x-vector x.  The sweep runs on
+    Python ints: bit 4x of ``(co >> pair) ^ co`` is set when pair ``pair``
+    of x-vector x differs from pair 0.  The report names the lowest such
+    x, then the lowest such pair.
     """
-    import numpy as np
-
     xs, cins = COMPRESSOR_INPUTS[:7], COMPRESSOR_INPUTS[7:]
     if circuit.inputs != COMPRESSOR_INPUTS or not {"Co1", "Co2"} <= set(circuit.outputs):
         raise NetlistError(
             f"{circuit.name} needs the compressor ports: inputs exactly "
             f"{list(COMPRESSOR_INPUTS)} in that order, and outputs Co1 and Co2"
         )
-    ((_, columns, outs),) = iter_exhaustive(circuit)
-    co = {k: outs[k].reshape(128, 4) for k in ("Co1", "Co2")}
+    outs = _exhaustive_ints(circuit)
+    lane0 = ((1 << 512) - 1) // 15  # bit 4x for every x-vector x
     failure = None
     for port in ("Co1", "Co2"):
-        diff = co[port] != co[port][:, :1]
-        if bool(np.any(diff)):
-            x_idx, pair = (int(v) for v in np.argwhere(diff)[0])
-            row_a, row_b = 4 * x_idx, 4 * x_idx + pair
+        co = outs[port]
+        diffs = [((co >> pair) ^ co) & lane0 for pair in (1, 2, 3)]
+        differ = diffs[0] | diffs[1] | diffs[2]
+        if differ:
+            row_a = (differ & -differ).bit_length() - 1
+            pair = next(p for p, d in zip((1, 2, 3), diffs) if d >> row_a & 1)
+            row_b = row_a + pair
+            vec_a, vec_b = vector_at(circuit, row_a), vector_at(circuit, row_b)
             failure = {
                 "output": port,
-                "x_vector": {p: int(columns[p][row_a]) for p in xs},
-                "carry_in_a": [int(columns[p][row_a]) for p in cins],
-                "carry_in_b": [int(columns[p][row_b]) for p in cins],
-                "value_a": int(co[port][x_idx, 0]),
-                "value_b": int(co[port][x_idx, pair]),
+                "x_vector": {p: vec_a[p] for p in xs},
+                "carry_in_a": [vec_a[p] for p in cins],
+                "carry_in_b": [vec_b[p] for p in cins],
+                "value_a": co >> row_a & 1,
+                "value_b": co >> row_b & 1,
             }
             break
     return _report(

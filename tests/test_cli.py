@@ -304,8 +304,9 @@ def test_manifest_records_the_run(run_cli, tmp_path):
         ("build", "sfa", "--manifest", "sfa.json"),  # build's default output
         ("build", "sfa", "--out", "r.json", "--manifest", "./r.json"),
         ("verify", "sfa", "--manifest", "-"),
+        ("build", "sfa", "--out", "sfa2.json", "--manifest", ""),
     ],
-    ids=["default-output", "same-path", "dash"],
+    ids=["default-output", "same-path", "dash", "empty"],
 )
 def test_manifest_may_not_name_the_output_or_stdout(run_cli, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -314,6 +315,21 @@ def test_manifest_may_not_name_the_output_or_stdout(run_cli, tmp_path, monkeypat
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_empty_out_is_a_usage_error(run_cli, tmp_path, monkeypatch, command):
+    # An empty path once named a temp file in the working directory's
+    # parent, so nothing may appear there either.
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    code, out, err = run_cli(command, "sfa", "--out", "")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --out ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [cwd]
+    assert list(cwd.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Byte-for-byte pins of what gatelab writes: one sha256 per CLI
-invocation over every registry block, and per block over the verify
-reports of all its single-cell mutants.
+invocation over every registry block, per block over the verify
+reports of all its single-cell mutants, and one over the
+cin-independence reports of both compressors' mutants.
 
 A refactor that means to keep behaviour keeps every digest.  A change
 that means to alter an output says so and records the new digests,
@@ -19,10 +20,11 @@ import pytest
 from gatelab import cli
 from gatelab.core import GateKind
 from gatelab.generators import REGISTRY, BlockSpec, build_block
-from gatelab.verify import verify_exhaustive, verify_random
+from gatelab.verify import verify_cout_independence, verify_exhaustive, verify_random
 
 # Small parameters for the parametrised blocks.
 PARAMS = {"kogge_stone": {"width": 5}, "array_reducer": {"cols": 3}, "pipeline": {"cols": 3}}
+_COMPRESSORS = ("compressor72_proposed", "compressor72_cascade")
 
 
 def _flags(name: str) -> list[str]:
@@ -48,7 +50,7 @@ def _invocations() -> list[tuple[str, ...]]:
     runs.append(
         ("compare", "traditional_fa", "adjusted_fa", "sfa", "--inv-cost", "1", "--out", "-")
     )
-    for name in ("compressor72_proposed", "compressor72_cascade"):
+    for name in _COMPRESSORS:
         runs.append(("verify", name, "--check", "cin-independence", "--out", "-"))
     return runs
 
@@ -74,18 +76,55 @@ _MODES = {
 }
 
 
-def mutant_digest(name: str, mode: str) -> str:
-    """sha256 of the reports, in cell order, of every mutant of a block
-    that swaps one cell AND<->OR or NAND<->NOR."""
+def _mutants(name: str):
+    """Every mutant of a block that swaps one cell AND<->OR or NAND<->NOR,
+    in cell order."""
     circuit = build_block(BlockSpec(name, PARAMS.get(name, {})))
-    digest = hashlib.sha256()
     for k, cell in enumerate(circuit.cells):
         if cell.kind in _SWAPS:
             cells = list(circuit.cells)
             cells[k] = dataclasses.replace(cell, kind=_SWAPS[cell.kind])
-            mutant = dataclasses.replace(circuit, cells=tuple(cells))
-            digest.update(_MODES[mode](mutant).to_json().encode())
+            yield dataclasses.replace(circuit, cells=tuple(cells))
+
+
+def _digest(reports) -> str:
+    digest = hashlib.sha256()
+    for report in reports:
+        digest.update(report.to_json().encode())
     return digest.hexdigest()
+
+
+def mutant_digest(name: str, mode: str) -> str:
+    """sha256 of the reports, in cell order, of every mutant of a block."""
+    return _digest(map(_MODES[mode], _mutants(name)))
+
+
+def _carry_in_rewirings(name: str):
+    """Every mutant of a compressor that rewires one cell input to Ci1 or
+    Ci2, in cell, then input, then carry-in order.  No AND<->OR or
+    NAND<->NOR swap brings a carry-in into a cone that reads none, so
+    these are the mutants whose cin-independence reports fail."""
+    circuit = build_block(BlockSpec(name))
+    carry_ins = [circuit.net(port) for port in ("Ci1", "Ci2")]
+    for k, cell in enumerate(circuit.cells):
+        for j in range(len(cell.ins)):
+            for net in carry_ins:
+                cells = list(circuit.cells)
+                ins = cell.ins[:j] + (net,) + cell.ins[j + 1 :]
+                cells[k] = dataclasses.replace(cell, ins=ins)
+                yield dataclasses.replace(circuit, cells=tuple(cells))
+
+
+def cin_mutant_digest() -> str:
+    """sha256 of the cin-independence reports of both compressors'
+    mutants, the proposed block's first: each block's swaps, then its
+    carry-in rewirings."""
+    return _digest(
+        verify_cout_independence(mutant)
+        for name in _COMPRESSORS
+        for mutants in (_mutants(name), _carry_in_rewirings(name))
+        for mutant in mutants
+    )
 
 
 CLI_DIGESTS: dict[str, str] = {
@@ -209,6 +248,9 @@ MUTANT_DIGESTS: dict[str, str] = {
 }
 
 
+CIN_MUTANT_DIGEST = "efaf8d1469f67dbab53c52530b33796c44e1b4e4a349d00e1c4c0d35e1ac10c4"
+
+
 @pytest.mark.parametrize("key", list(CLI_DIGESTS))
 def test_cli_output_is_unchanged(key):
     assert cli_digest(tuple(key.split())) == CLI_DIGESTS[key]
@@ -217,6 +259,10 @@ def test_cli_output_is_unchanged(key):
 @pytest.mark.parametrize("key", list(MUTANT_DIGESTS))
 def test_mutant_reports_are_unchanged(key):
     assert mutant_digest(*key.split()) == MUTANT_DIGESTS[key]
+
+
+def test_cin_independence_mutant_reports_are_unchanged():
+    assert cin_mutant_digest() == CIN_MUTANT_DIGEST
 
 
 def test_digests_cover_every_invocation_and_block():
@@ -232,4 +278,5 @@ if __name__ == "__main__":
     for name in REGISTRY:
         for mode in _MODES:
             print(f'    "{name} {mode}": "{mutant_digest(name, mode)}",')
-    print("}")
+    print("}\n")
+    print(f'CIN_MUTANT_DIGEST = "{cin_mutant_digest()}"')

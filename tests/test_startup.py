@@ -1,5 +1,6 @@
 """The package surface, and what importing it costs: ``import gatelab``
-loads no numpy, and the commands that simulate nothing never load it."""
+loads no numpy, and neither do the commands that simulate nothing or
+that sweep at most 9 inputs."""
 
 from __future__ import annotations
 
@@ -97,9 +98,26 @@ def test_commands_that_simulate_nothing_load_no_numpy(tmp_path, argv):
     assert "numpy" not in loaded
 
 
-def test_verify_loads_numpy_when_it_simulates(tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "compressor72_proposed"],
+        ["verify", "compressor72_cascade", "--check", "cin-independence"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_nine_input_verifies_load_no_numpy(tmp_path, argv):
+    # The paper's compressor has 9 inputs, so its 512 vectors run on
+    # Python ints.
+    code, loaded = _fresh(tmp_path, f"from gatelab import cli\nresult = cli.main({argv!r})")
+    assert code == 0
+    assert "numpy" not in loaded
+
+
+def test_verify_above_nine_inputs_loads_numpy(tmp_path):
+    # kogge_stone's 17 inputs take the packed numpy sweep.
     code, loaded = _fresh(
-        tmp_path, "from gatelab import cli\nresult = cli.main(['verify', 'compressor72_proposed'])"
+        tmp_path, "from gatelab import cli\nresult = cli.main(['verify', 'kogge_stone'])"
     )
     assert code == 0
     assert "numpy" in loaded

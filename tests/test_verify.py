@@ -47,6 +47,14 @@ def with_kind(circuit, net_name, kind):
     return dataclasses.replace(circuit, cells=cells)
 
 
+_SWAPS = {
+    GateKind.AND2: GateKind.OR2,
+    GateKind.OR2: GateKind.AND2,
+    GateKind.NAND2: GateKind.NOR2,
+    GateKind.NOR2: GateKind.NAND2,
+}
+
+
 def compressor_shaped(co1, co2, inputs=COMPRESSOR_INPUTS):
     """Block with the compressor's outputs; ``co1`` and ``co2`` build each
     carry-out from the builder and a port -> net map."""
@@ -141,6 +149,46 @@ def test_exhaustive_chunking_matches_single_shot():
     }
 
 
+_SMALL_BLOCKS = [
+    name for name in REGISTRY if len(build_block(BlockSpec(name)).inputs) <= 9
+]
+
+
+@pytest.mark.parametrize("name", _SMALL_BLOCKS)
+def test_int_sweep_reports_what_the_packed_sweep_reports(name):
+    # Sweeps of at most 9 inputs run on Python ints and explain(); the
+    # packed numpy sweep through _first_failure is the reference, for the
+    # block and for each of its single-cell AND<->OR / NAND<->NOR swaps.
+    circuit = build_block(BlockSpec(name))
+    oracle = resolve_oracle(circuit)
+    mutants = [
+        with_kind(circuit, circuit.net_names[cell.out], _SWAPS[cell.kind])
+        for cell in circuit.cells
+        if cell.kind in _SWAPS
+    ]
+    failures = 0
+    for mutant in [circuit, *mutants]:
+        reference = verify._first_failure(mutant, oracle, simulate.iter_exhaustive(mutant))
+        report = verify_exhaustive(mutant)
+        assert report.counterexample == reference
+        assert report.ok == (reference is None)
+        failures += reference is not None
+    assert (failures > 0) == bool(mutants)
+
+
+def test_int_sweep_reaches_its_last_vector():
+    # The proposed compressor with Sum flipped where all nine inputs are
+    # 1: wrong only at the last index, 511.
+    compressor = build_block(BlockSpec("compressor72_proposed"))
+    report = verify_exhaustive(flipped_where(compressor, compressor.inputs, "Sum"))
+    assert report.counterexample == {
+        "index": 511,
+        "vector": {p: 1 for p in compressor.inputs},
+        "expected": {"total": 9},
+        "actual": {"Sum + 2*Carry + 2*Co1 + 4*Co2": 8},
+    }
+
+
 def counting_engine(monkeypatch):
     """A list that grows by one for each chunk verify hands the engine."""
     calls = []
@@ -186,15 +234,16 @@ def test_exhaustive_stops_at_its_first_failing_chunk(monkeypatch):
     }
 
 
-def flipped_where(adder, ports):
-    """``adder`` with s0 flipped wherever every input in ``ports`` is 1."""
+def flipped_where(adder, ports, flipped="s0"):
+    """``adder`` with the output ``flipped`` flipped wherever every input
+    in ``ports`` is 1."""
     b = CircuitBuilder(adder.name, adder.inputs)
     outs = b.instantiate(adder, {p: b.input(p) for p in adder.inputs})
     match = b.input(ports[0])
     for port in ports[1:]:
         match = b.and_(match, b.input(port))
     for port, ref in outs.items():
-        b.set_output(port, b.xor(ref, match) if port == "s0" else ref)
+        b.set_output(port, b.xor(ref, match) if port == flipped else ref)
     return b.seal()
 
 
@@ -468,14 +517,6 @@ def test_random_count_validation():
 # Sayward, "Hints on Test Data Selection", IEEE Computer 1978)
 # ---------------------------------------------------------------------------
 
-_SWAPS = {
-    GateKind.AND2: GateKind.OR2,
-    GateKind.OR2: GateKind.AND2,
-    GateKind.NAND2: GateKind.NOR2,
-    GateKind.NOR2: GateKind.NAND2,
-}
-
-
 def live_mutants(circuit):
     """Each AND<->OR and NAND<->NOR swap of one live cell, a cell whose
     output reaches an output net, keyed by the cell's net name."""
@@ -634,7 +675,10 @@ def test_check_agrees_with_explain(oracle):
                 {p: int(col[row]) for p, col in outs.items()},
             )
             agree = list(expected.values()) == list(actual.values())
-            assert bool(mask[row]) == agree, (flipped, row)
+            assert bool(mask[row]) == agree == verify._passes(expected, actual), (
+                flipped,
+                row,
+            )
         if len(flipped) == 1:
             assert (mask == ~flipped_rows).all()
 
