@@ -20,7 +20,7 @@ _PUBLIC = {
         compressor72_proposed half_sorter4 kogge_stone pipeline sfa sorter2
         sorting_network4 traditional_fa""",
     simulate: """SimulationError evaluate evaluate_batch exhaustive_columns
-        iter_exhaustive vector_at""",
+        vector_at""",
     verify: """EXHAUSTIVE_INPUT_BOUND ORACLES ExhaustiveBoundError Oracle
         VerificationReport resolve_oracle structured_rows
         verify_cout_independence verify_exhaustive verify_random""",

@@ -44,12 +44,10 @@ ARITY = {
 }
 
 #: Each gate's boolean function, the only place it is written.  The last
-#: argument is the all-ones value of the operands' type: ``1`` for the
-#: 0/1 Python ints of constant folding and scalar evaluation,
-#: ``np.uint64(2**64 - 1)`` for the engine's words of 64 packed vectors,
-#: and the 2^n-bit all-ones int for a small sweep's words of all 2^n
-#: vectors.  Inversion is ``^ one``, so a word flips all its bits, not
-#: only bit 0.
+#: argument is the all-ones value of the operands: ``1`` for the 0/1
+#: ints of constant folding and a single vector, and the all-ones int
+#: of the run's length for the engine's words, one bit a vector.
+#: Inversion is ``^ one``, so a word flips all its bits, not only bit 0.
 GATE_FN: dict[GateKind, Callable[..., Any]] = {
     GateKind.AND2: lambda a, b, one: a & b,
     GateKind.OR2: lambda a, b, one: a | b,

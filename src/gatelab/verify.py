@@ -4,7 +4,7 @@ Each block family has an oracle that recomputes the intended result
 with plain integer arithmetic (never with the netlist itself) and
 compares.  Each oracle is stated once, either as a weight 2^e per input
 and output port or as the expected value of each named quantity, and
-both its vector ``check`` and its scalar ``explain`` derive from that
+both its word ``check`` and its scalar ``explain`` derive from that
 statement; the registry names the oracle of each block.
 
 Exhaustive sweeps cover every input combination up to a hard bound of
@@ -15,42 +15,38 @@ stream is bit 7 of each byte of PCG64's little-endian raw words, which
 equals ``default_rng(seed).integers(0, 2, (count, n), np.uint8)``;
 tests pin the equality.
 
-Both modes check their vectors chunk by chunk through one loop, which
-stops at the first failing chunk.  A random chunk holds at most
-``RANDOM_CHUNK_BYTES`` of stimulus and ``RANDOM_CHUNK_ROWS`` rows,
-structured rows included, so a run's memory follows one chunk and its
-run time follows ``count``.  An exhaustive sweep of at most 9 inputs
-runs all its vectors at once on Python ints and checks them one by one
-through the oracle's ``explain``, so it loads no numpy; a wider sweep
-simulates its vectors in packed chunks and checks them in smaller
-slices (see simulate).  Both report the same first failure.
+Every mode runs the one engine, the circuit's op list on Python-int
+words (see simulate), chunk by chunk through one loop that checks each
+chunk's words with the oracle's ``check`` and stops at the first
+failing chunk.  An exhaustive chunk holds 2^18 vectors and needs no
+numpy.  A random chunk holds at most ``RANDOM_CHUNK_BYTES`` of stimulus
+and ``RANDOM_CHUNK_ROWS`` rows, structured rows included, so a run's
+memory follows one chunk and its run time follows ``count``.
 
-Failures report the first counterexample in scan order; for
-exhaustive mode that is the lexicographically first failing input
-tuple, because enumeration order is lexicographic (see simulate).
+Failures report the first counterexample in scan order, the lowest set
+bit of the first failing chunk's fail word; for exhaustive mode that is
+the lexicographically first failing input tuple, because enumeration
+order is lexicographic (see simulate).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
-from collections import defaultdict
+import operator
+from collections import defaultdict, deque
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import SCHEMA_VERSION, Circuit, NetlistError
 from .generators import COMPRESSOR_INPUTS, REGISTRY
-from .simulate import _exhaustive_ints, evaluate_batch, iter_exhaustive, vector_at
+from .simulate import _exhaustive_chunks, _pack, _run, vector_at
 
 if TYPE_CHECKING:
     import numpy as np
 
 EXHAUSTIVE_INPUT_BOUND = 24
-# Exhaustive sweeps of at most this many inputs run on Python ints (see
-# simulate._exhaustive_ints) and need no numpy.  In-process on 2 vCPUs
-# with Python 3.11, the int sweep and its per-vector check took 1.7 ms
-# at 9 inputs, 10 ms at 11 and 48 ms at 13 (the numpy sweep 0.13-0.2
-# ms), while importing numpy costs a fresh process about 30 ms.
-_INT_SWEEP_INPUTS = 9
 PRNG_NAME = "numpy default_rng (PCG64)"
 
 
@@ -62,8 +58,8 @@ class ExhaustiveBoundError(NetlistError):
 # oracles
 # ---------------------------------------------------------------------------
 
-#: Port names -> 1-D uint8 columns of 0/1 values, one row per vector.
-Columns = Mapping[str, "np.ndarray"]
+#: Port names -> words: bit v of a port's int is its value in vector v.
+Words = Mapping[str, int]
 Values = Mapping[str, int]
 #: Port names -> the exponent e of each port's weight 2^e.
 Exponents = Callable[[Sequence[str]], dict[str, int]]
@@ -71,39 +67,65 @@ Exponents = Callable[[Sequence[str]], dict[str, int]]
 
 @dataclass(frozen=True)
 class Oracle:
-    """A named semantic contract: a vectorized pass mask plus a per-vector
+    """A named semantic contract: a word-level fail mask plus a per-vector
     expected/actual explanation used in counterexample reports.
 
-    ``check`` takes the input and output :data:`Columns` as verification
-    hands them over, uint8 columns of 0/1 values, and computes on them
-    without copying them to a wider type.
+    ``check`` takes the input and output :data:`Words` of one engine
+    pass and returns its fail word, whose bit v is set when vector v
+    fails.  Bits past the pass's last vector mean nothing; verification
+    masks them off.  ``explain`` takes one vector's 0/1 ints.
     """
 
     name: str
-    check: Callable[[Columns, Columns], np.ndarray]
+    check: Callable[[Words, Words], int]
     explain: Callable[[Values, Values], tuple[dict, dict]]
 
 
+# Port lists whose derived tables (exponent maps, rejected combinations)
+# each oracle keeps: resolved once per circuit, shared by a run's chunks
+# and its counterexample report, and only ever read.
+_RESOLVED = 16
+
+
 def _per_quantity(name: str, quantities: Callable) -> Oracle:
-    """An oracle from ``quantities(ins, outs) -> (expected, actual)``.
+    """An oracle from ``quantities(ins, outs) -> (expected, actual)``, on
+    one vector's ints; a vector passes when every expected quantity
+    equals the actual one of the same name.
 
-    The same arithmetic runs on the uint8 columns in ``check`` and on one
-    vector's ints in ``explain``, so each quantity must fit in uint8 (the
-    sorters and full adders checked this way have at most 4 inputs); a
-    row passes when every expected quantity equals the actual one of the
-    same name.
+    ``check`` runs ``explain`` once per port list on every combination of
+    input and output bits, so it suits small blocks (the sorters and
+    full adders checked this way have at most 4 inputs and 4 outputs).
+    Its fail word is the OR of the minterm words of every combination
+    that :func:`_passes` rejects.
     """
-
-    def check(ins: Columns, outs: Columns) -> np.ndarray:
-        import numpy as np
-
-        expected, actual = quantities(ins, outs)
-        return np.logical_and.reduce([expected[k] == actual[k] for k in expected])
 
     def explain(ins: Values, outs: Values) -> tuple[dict, dict]:
         # as ints: a sorted bit is a bool
         sides = quantities(ins, outs)
         return tuple({k: int(v) for k, v in side.items()} for side in sides)
+
+    @functools.lru_cache(maxsize=_RESOLVED)
+    def rejected(ins: tuple, outs: tuple) -> tuple[int, ...]:
+        """The combinations that fail, as indices into the product of the
+        ports' bits, first port most significant."""
+        combos = itertools.product((0, 1), repeat=len(ins) + len(outs))
+        return tuple(
+            k
+            for k, bits in enumerate(combos)
+            if not _passes(
+                *explain(dict(zip(ins, bits)), dict(zip(outs, bits[len(ins) :])))
+            )
+        )
+
+    def check(ins: Words, outs: Words) -> int:
+        # Each combination's minterm word, by splitting all vectors (-1:
+        # every bit set) on each port in turn; ~word sets the bits past
+        # the last vector too.
+        minterms = [-1]
+        for word in (*ins.values(), *outs.values()):
+            minterms = [m & half for m in minterms for half in (~word, word)]
+        rows = rejected(tuple(ins), tuple(outs))
+        return functools.reduce(operator.or_, (minterms[k] for k in rows), 0)
 
     return Oracle(name, check, explain)
 
@@ -115,41 +137,50 @@ def _weighted(
     out_label: str,
     out_exponents: Exponents,
 ) -> Oracle:
-    """The oracle sum(in_p * 2^e_p) == sum(out_p * 2^e_p) over all ports."""
+    """The oracle sum(in_p * 2^e_p) == sum(out_p * 2^e_p) over all ports.
 
-    def check(ins: Columns, outs: Columns) -> np.ndarray:
-        import numpy as np
+    ``check`` writes each side's sum in binary, one word per digit, and
+    fails a vector where any digit differs.
+    """
+    in_exponents = functools.lru_cache(maxsize=_RESOLVED)(in_exponents)
+    out_exponents = functools.lru_cache(maxsize=_RESOLVED)(out_exponents)
 
-        # Cancel the two sums one weight at a time, carrying the remainder
-        # upward: a row fails when a remainder is odd or the last is not
-        # zero.  Before weight e is shifted out, |carry| is at most the
-        # number of ports of weight e or below (halving never grows it),
-        # so the narrowest signed type that holds +-ports is exact at any
-        # width: int8 up to 127 ports, then int16, int32.
-        terms = defaultdict(list)  # exponent -> [(column, np.add | np.subtract)]
-        for port, e in in_exponents(tuple(ins)).items():
-            terms[e].append((ins[port], np.add))
-        for port, e in out_exponents(tuple(outs)).items():
-            terms[e].append((outs[port], np.subtract))
-        ports = sum(map(len, terms.values()))
-        carry_types = (np.int8, np.int16, np.int32, np.int64)
-        dtype = next(t for t in carry_types if ports <= np.iinfo(t).max)
-        carry = np.zeros(len(next(iter(ins.values()))), dtype)
-        odd = np.zeros_like(carry)  # bit 0 set once any remainder was odd
-        for e in range(max(terms) + 1):
-            for column, accumulate in terms.get(e, ()):
-                # A 0/1 uint8 column read as int8 adds to an int8 carry
-                # with no cast (a mixed add would run in int16 and cast).
-                accumulate(carry, column.view(np.int8), out=carry)
-            odd |= carry
-            carry >>= 1
-        return ((odd & 1) == 0) & (carry == 0)
+    def check(ins: Words, outs: Words) -> int:
+        lhs = _digits(ins, in_exponents(tuple(ins)))
+        rhs = _digits(outs, out_exponents(tuple(outs)))
+        fail = 0
+        for e in lhs.keys() | rhs.keys():
+            fail |= lhs.get(e, 0) ^ rhs.get(e, 0)
+        return fail
 
     def explain(ins: Values, outs: Values) -> tuple[dict, dict]:
         expected = _total(ins, in_exponents)
         return {in_label: expected}, {out_label: _total(outs, out_exponents)}
 
     return Oracle(name, check, explain)
+
+
+def _digits(words: Words, exponents: dict[str, int]) -> dict[int, int]:
+    """Each vector's sum of its ports' bits times 2^e, as one word per
+    binary digit e: a carry-save tree of full adders over the words of
+    one weight, lowest weight first, each carry going one weight up."""
+    column: defaultdict[int, deque] = defaultdict(deque)
+    for port, e in exponents.items():
+        column[e].append(words[port])
+    digits = {}
+    e = min(column, default=0)
+    while column:
+        terms = column.pop(e, ())
+        while len(terms) > 1:
+            a, b = terms.popleft(), terms.popleft()
+            c = terms.popleft() if terms else 0  # a half adder on the last two
+            half = a ^ b
+            terms.append(half ^ c)
+            column[e + 1].append((a & b) | (half & c))
+        if terms:
+            digits[e] = terms[0]
+        e += 1
+    return digits
 
 
 def _total(values: Values, exponents: Exponents) -> int:
@@ -295,7 +326,7 @@ def _report(circuit: Circuit, failure: dict | None, **fields) -> VerificationRep
 def _passes(expected: dict, actual: dict) -> bool:
     """The scalar pass rule: a vector passes when ``explain``'s expected
     values equal its actual values, in order.  Each oracle's ``check``
-    agrees with it on every row (tests pin that)."""
+    fails exactly the vectors it rejects (tests pin that)."""
     return list(expected.values()) == list(actual.values())
 
 
@@ -305,47 +336,27 @@ def _counterexample(oracle: Oracle, index: int, vec: dict, out: dict) -> dict:
 
 
 def _first_failure(
-    circuit: Circuit, oracle: Oracle, chunks: Iterable[tuple[int, Columns, Columns]]
+    circuit: Circuit, oracle: Oracle, chunks: Iterable[tuple[int, int, list[int]]]
 ) -> dict | None:
     """The counterexample at the first vector that fails the oracle, or
     None when all pass.
 
-    ``chunks`` yields (offset, input columns, output columns) in scan
-    order, as :func:`_random_chunks` and
-    :func:`~gatelab.simulate.iter_exhaustive` do; a failure at row
-    ``local`` of a chunk is vector ``offset + local``.  Both simulate
-    lazily, so the loop's return leaves every later pass of the engine
-    unrun: a random chunk is one pass, and an exhaustive engine chunk
-    is one pass for several slices.  Sweeps small enough for
-    :func:`_first_scalar_failure` do not come here; both return the same
-    counterexample.
+    ``chunks`` yields (offset, all-ones word, input words) in scan order,
+    as :func:`~gatelab.simulate._exhaustive_chunks` and
+    :func:`_random_chunks` do.  Each chunk is one engine pass, run when
+    the loop reaches it, so the loop's return leaves every later chunk
+    unsimulated.  A failure at bit ``local`` of a chunk's fail word is
+    vector ``offset + local``.
     """
-    import numpy as np
-
-    for offset, columns, outs in chunks:
-        ok = oracle.check(columns, outs)
-        if not bool(np.all(ok)):
-            local = int(np.argmin(ok))
-            vec = {port: int(columns[port][local]) for port in circuit.inputs}
-            out = {port: int(outs[port][local]) for port in circuit.outputs}
+    for offset, ones, words in chunks:
+        ins = dict(zip(circuit.inputs, words))
+        outs = dict(zip(circuit.outputs, _run(circuit, words, ones)))
+        fail = oracle.check(ins, outs) & ones
+        if fail:
+            local = (fail & -fail).bit_length() - 1
+            vec = {port: word >> local & 1 for port, word in ins.items()}
+            out = {port: word >> local & 1 for port, word in outs.items()}
             return _counterexample(oracle, offset + local, vec, out)
-        # Dropped before the next chunk is simulated: held through it, a
-        # 35 s run of kogge_stone(width=11) sweeps peaked at 36.1 MB RSS
-        # against 35.5.
-        del ok
-    return None
-
-
-def _first_scalar_failure(circuit: Circuit, oracle: Oracle) -> dict | None:
-    """:func:`_first_failure` of a whole exhaustive sweep, simulated at
-    once on Python ints and checked vector by vector in enumeration order
-    by :func:`_passes`."""
-    outs = _exhaustive_ints(circuit)
-    for index in range(1 << len(circuit.inputs)):
-        vec = vector_at(circuit, index)
-        out = {port: word >> index & 1 for port, word in outs.items()}
-        if not _passes(*oracle.explain(vec, out)):
-            return _counterexample(oracle, index, vec, out)
     return None
 
 
@@ -354,8 +365,7 @@ def _first_scalar_failure(circuit: Circuit, oracle: Oracle) -> dict | None:
 # ---------------------------------------------------------------------------
 
 def verify_exhaustive(circuit: Circuit) -> VerificationReport:
-    """Check every input combination, on Python ints up to 9 inputs and
-    on numpy words above; refuses above 24 inputs."""
+    """Check every input combination; refuses above 24 inputs."""
     n = len(circuit.inputs)
     if n > EXHAUSTIVE_INPUT_BOUND:
         raise ExhaustiveBoundError(
@@ -363,10 +373,7 @@ def verify_exhaustive(circuit: Circuit) -> VerificationReport:
             f"{EXHAUSTIVE_INPUT_BOUND}. Use random mode with a seed instead."
         )
     orc = resolve_oracle(circuit)
-    if n <= _INT_SWEEP_INPUTS:
-        failure = _first_scalar_failure(circuit, orc)
-    else:
-        failure = _first_failure(circuit, orc, iter_exhaustive(circuit))
+    failure = _first_failure(circuit, orc, _exhaustive_chunks(n))
     return _report(
         circuit, failure, oracle=orc.name, mode="exhaustive", vectors_tried=1 << n
     )
@@ -409,11 +416,11 @@ RANDOM_BLOCK_ROWS = 512
 # rows) and this many rows, the structured rows included, in whole
 # blocks of draws.  Each chunk pays one Python pass over the op list, so
 # the byte budget trades memory for time on wide blocks
-# (pipeline(cols=1024), 100k vectors: 2.7 s at 406 MB peak RSS, against
-# 2.0 s at 601 MB with 2^28 bytes).  The row cap binds below 1,024
+# (pipeline(cols=1024), 100k vectors: 1.00 s at 309 MB peak RSS, against
+# 0.92 s at 472 MB with 2^28 bytes).  The row cap binds below 1,024
 # inputs, where the engine and the oracle hold more per row than the
-# stimulus (tracemalloc peaks a row: sorter2 11 bytes against its 2 of
-# stimulus, half_sorter4 19, sorting_network4 21, traditional_fa 12).
+# stimulus (tracemalloc peaks a row: sorter2 4.0 bytes against its 2 of
+# stimulus, half_sorter4 9.8, sorting_network4 9.8, traditional_fa 6.2).
 # Both keep the 224-input array's 100k vectors in one chunk.
 RANDOM_CHUNK_BYTES = 1 << 27
 RANDOM_CHUNK_ROWS = 1 << 17
@@ -421,20 +428,17 @@ RANDOM_CHUNK_ROWS = 1 << 17
 
 def _random_chunks(
     circuit: Circuit, structured: np.ndarray, seed: int, count: int
-) -> Iterator[tuple[int, Columns, Columns]]:
-    """(offset, input columns, output columns) chunks of the rows of
-    ``structured``, then ``count`` rows of the seeded random stream,
-    each simulated by ``evaluate_batch`` when it is reached.
+) -> Iterator[tuple[int, int, list[int]]]:
+    """(offset, all-ones word, input words) chunks of the rows of
+    ``structured``, then ``count`` rows of the seeded random stream.
 
     A chunk is cut every ``step`` rows of that sequence, so the
     structured rows count against the budget; a cut inside the random
     stream moves back to a multiple of 8 drawn rows, so that every block
     of draws but the last holds whole raw words.  Every chunk is written
-    into one reused (inputs, rows) uint8 buffer, whose rows the engine
-    and the oracle read as contiguous input columns, so a chunk's
-    columns are overwritten by the next chunk.  Random rows are drawn in
-    blocks and written transposed, so no row-major copy of a chunk
-    exists.
+    into one reused (inputs, rows) uint8 buffer, then each input's row
+    is packed into its word.  Random rows are drawn in blocks and
+    written transposed, so no row-major copy of a chunk exists.
     """
     import numpy as np
 
@@ -459,8 +463,7 @@ def _random_chunks(
             block = words.view(np.uint8)[: rows * n].reshape(rows, n)
             col = row - start
             np.right_shift(block.T, 7, out=buffer[:, col : col + rows])
-        columns = dict(zip(circuit.inputs, buffer[:, : stop - start]))
-        yield start, columns, evaluate_batch(circuit, columns)
+        yield start, (1 << (stop - start)) - 1, _pack(buffer[:, : stop - start])
         start = stop
 
 
@@ -507,10 +510,10 @@ def verify_cout_independence(circuit: Circuit) -> VerificationReport:
     Sweeps all 128 x-vectors against all four (Ci1, Ci2) pairs and
     compares the column carry-outs across pairs.  The inputs must be the
     compressor ports in order, so the carry-ins are the enumeration's two
-    low bits and vectors 4x to 4x + 3 hold x-vector x.  The sweep runs on
-    Python ints: bit 4x of ``(co >> pair) ^ co`` is set when pair ``pair``
-    of x-vector x differs from pair 0.  The report names the lowest such
-    x, then the lowest such pair.
+    low bits and vectors 4x to 4x + 3 hold x-vector x.  The sweep is one
+    exhaustive chunk: bit 4x of ``(co >> pair) ^ co`` is set when pair
+    ``pair`` of x-vector x differs from pair 0.  The report names the
+    lowest such x, then the lowest such pair.
     """
     xs, cins = COMPRESSOR_INPUTS[:7], COMPRESSOR_INPUTS[7:]
     if circuit.inputs != COMPRESSOR_INPUTS or not {"Co1", "Co2"} <= set(circuit.outputs):
@@ -518,8 +521,9 @@ def verify_cout_independence(circuit: Circuit) -> VerificationReport:
             f"{circuit.name} needs the compressor ports: inputs exactly "
             f"{list(COMPRESSOR_INPUTS)} in that order, and outputs Co1 and Co2"
         )
-    outs = _exhaustive_ints(circuit)
-    lane0 = ((1 << 512) - 1) // 15  # bit 4x for every x-vector x
+    ((_, ones, words),) = _exhaustive_chunks(len(COMPRESSOR_INPUTS))
+    outs = dict(zip(circuit.outputs, _run(circuit, words, ones)))
+    lane0 = ones // 15  # bit 4x for every x-vector x
     failure = None
     for port in ("Co1", "Co2"):
         co = outs[port]

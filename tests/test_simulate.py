@@ -29,7 +29,6 @@ from gatelab.simulate import (
     evaluate,
     evaluate_batch,
     exhaustive_columns,
-    iter_exhaustive,
     vector_at,
 )
 
@@ -271,24 +270,32 @@ def inverter_block(n):
     return b.seal()
 
 
-# 1-5 fill part of one word and 6 fills one; 7, 8 and 15 a part of one
-# slice, 16 one whole slice, 17 and 18 several slices of one engine
-# chunk, and 19 and 20 several engine chunks.  An inversion sets the
-# padding bits, which the outputs must not show.
+def unpack(words, count):
+    """(words, count) uint8 bits of Python-int words, bit v in column v;
+    a word with a bit set at or past ``count`` does not fit and raises."""
+    size = -(-count // 8)
+    raw = b"".join(word.to_bytes(size, "little") for word in words)
+    packed = np.frombuffer(raw, np.uint8).reshape(len(words), size)
+    return np.unpackbits(packed, axis=1, count=count, bitorder="little")
+
+
+# 1-17 fill part of one chunk and 18 fills one; 19 and 20 take several.
+# An inversion sets every bit of the all-ones word, so no output may
+# show a bit past the chunk's last vector.
 @pytest.mark.parametrize("n", [*range(1, 9), *range(15, 21)])
 def test_exhaustive_slices_are_the_simulated_enumeration(n):
     circuit = inverter_block(n)
     offsets, ins, outs = [], [], []
-    for offset, columns, results in iter_exhaustive(circuit):
+    for offset, ones, words in simulate._exhaustive_chunks(n):
+        count = ones.bit_length()
+        assert ones == (1 << count) - 1
         offsets.append(offset)
-        ins.append(np.stack([columns[p] for p in circuit.inputs]))
-        outs.append(np.stack([results[p] for p in circuit.outputs]))
-    assert offsets == list(range(0, 1 << n, 1 << min(n, 16)))
-    whole = exhaustive_columns(n)
-    assert np.array_equal(np.concatenate(ins, axis=1), np.stack(whole))
-    batch = evaluate_batch(circuit, dict(zip(circuit.inputs, whole)))
-    want = np.stack([batch[p] for p in circuit.outputs])
-    assert np.array_equal(np.concatenate(outs, axis=1), want)
+        ins.append(unpack(words, count))
+        outs.append(unpack(simulate._run(circuit, words, ones), count))
+    assert offsets == list(range(0, 1 << n, 1 << min(n, 18)))
+    whole = np.stack(exhaustive_columns(n))
+    assert np.array_equal(np.concatenate(ins, axis=1), whole)
+    assert np.array_equal(np.concatenate(outs, axis=1), 1 - whole)
 
 
 def test_vector_at_is_a_row_of_the_enumeration():

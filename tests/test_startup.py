@@ -1,6 +1,6 @@
 """The package surface, and what importing it costs: ``import gatelab``
 loads no numpy, and neither do the commands that simulate nothing or
-that sweep at most 9 inputs."""
+that sweep an input space exhaustively."""
 
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ PUBLIC_NAMES = [
     "adjusted_fa", "area", "array_reducer", "arrivals", "build_block", "compare",
     "compressor72_cascade", "compressor72_proposed", "depth", "evaluate",
     "evaluate_batch", "exhaustive_columns", "from_document", "from_json",
-    "half_sorter4", "iter_exhaustive", "kogge_stone", "path_depth", "pipeline",
+    "half_sorter4", "kogge_stone", "path_depth", "pipeline",
     "render", "resolve_oracle", "sfa", "slack_to_input", "sorter2",
     "sorting_network4", "structured_rows", "to_document", "to_dot", "to_json",
     "to_structural_hdl", "traditional_fa", "validate", "vector_at",
@@ -37,7 +37,7 @@ WATCHED = ("numpy", "gatelab.simulate", "gatelab.verify")
 
 
 def test_every_public_name_is_exported_and_resolves():
-    assert len(PUBLIC_NAMES) == 62
+    assert len(PUBLIC_NAMES) == 61
     assert gatelab.__all__ == PUBLIC_NAMES
     namespace: dict = {}
     exec("from gatelab import *", namespace)
@@ -103,22 +103,22 @@ def test_commands_that_simulate_nothing_load_no_numpy(tmp_path, argv):
     [
         ["verify", "compressor72_proposed"],
         ["verify", "compressor72_cascade", "--check", "cin-independence"],
+        ["verify", "kogge_stone"],
     ],
     ids=lambda argv: " ".join(argv),
 )
-def test_nine_input_verifies_load_no_numpy(tmp_path, argv):
-    # The paper's compressor has 9 inputs, so its 512 vectors run on
-    # Python ints.
+def test_exhaustive_verifies_load_no_numpy(tmp_path, argv):
+    # Exhaustive sweeps build their input words on Python ints, at any
+    # width: the paper's 9-input compressor and kogge_stone's 17 inputs.
     code, loaded = _fresh(tmp_path, f"from gatelab import cli\nresult = cli.main({argv!r})")
     assert code == 0
     assert "numpy" not in loaded
 
 
-def test_verify_above_nine_inputs_loads_numpy(tmp_path):
-    # kogge_stone's 17 inputs take the packed numpy sweep.
-    code, loaded = _fresh(
-        tmp_path, "from gatelab import cli\nresult = cli.main(['verify', 'kogge_stone'])"
-    )
+def test_random_verify_loads_numpy(tmp_path):
+    # The random stream is numpy's PCG64 draw.
+    argv = ["verify", "pipeline", "--random", "--count", "100"]
+    code, loaded = _fresh(tmp_path, f"from gatelab import cli\nresult = cli.main({argv!r})")
     assert code == 0
     assert "numpy" in loaded
 

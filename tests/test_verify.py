@@ -8,11 +8,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from test_simulate import unpack
 
 from gatelab import simulate, verify
 from gatelab.core import CircuitBuilder, GateKind, NetlistError
 from gatelab.generators import COMPRESSOR_INPUTS, REGISTRY, BlockSpec, build_block
-from gatelab.simulate import evaluate_batch, exhaustive_columns
+from gatelab.simulate import _pack, _run, evaluate_batch, exhaustive_columns, vector_at
 from gatelab.verify import (
     EXHAUSTIVE_INPUT_BOUND,
     ORACLES,
@@ -53,6 +54,30 @@ _SWAPS = {
     GateKind.NAND2: GateKind.NOR2,
     GateKind.NOR2: GateKind.NAND2,
 }
+
+
+def mutants(circuit):
+    """Each single-cell AND<->OR and NAND<->NOR swap of ``circuit``."""
+    return [
+        with_kind(circuit, circuit.net_names[cell.out], _SWAPS[cell.kind])
+        for cell in circuit.cells
+        if cell.kind in _SWAPS
+    ]
+
+
+def bits(word, count):
+    """The indices below ``count`` of a word's set bits."""
+    return [v for v in range(count) if word >> v & 1]
+
+
+def single_shot(circuit, broken):
+    """The fail word of ``broken``'s whole input space in one engine
+    pass, checked against the oracle of ``circuit``."""
+    words = _pack(exhaustive_columns(len(circuit.inputs)))
+    ones = (1 << (1 << len(circuit.inputs))) - 1
+    ins = dict(zip(circuit.inputs, words))
+    outs = dict(zip(circuit.outputs, _run(broken, words, ones)))
+    return resolve_oracle(circuit).check(ins, outs) & ones
 
 
 def compressor_shaped(co1, co2, inputs=COMPRESSOR_INPUTS):
@@ -129,15 +154,13 @@ def test_exhaustive_refuses_wide_blocks():
 
 
 def test_exhaustive_chunking_matches_single_shot():
-    # kogge_stone(width=8) has 17 inputs, so the sweep takes two chunks
-    # of 2^16 vectors.  n18, the AND(a0, b0) inside p0_0's XOR, turned
-    # into a NOR makes p0_0 = a0 | b0: wrong first at a0 = b0 = 1,
-    # index 2^16 + 2^8, in the second chunk.
+    # kogge_stone(width=8) has 17 inputs, half a 2^18-vector chunk.  n18,
+    # the AND(a0, b0) inside p0_0's XOR, turned into a NOR makes p0_0 =
+    # a0 | b0: wrong first at a0 = b0 = 1, index 2^16 + 2^8.
     adder = build_block(BlockSpec("kogge_stone", {"width": 8}))
     broken = with_kind(adder, "n18", GateKind.NOR2)
-    columns = dict(zip(adder.inputs, exhaustive_columns(17)))
-    single_shot = ORACLES["adder"].check(columns, evaluate_batch(broken, columns))
-    assert int(np.argmin(single_shot)) == 65_792
+    fail = single_shot(adder, broken)
+    assert (fail & -fail).bit_length() - 1 == 65_792
     report = verify_exhaustive(broken)
     assert report.status == "fail"
     assert report.vectors_tried == 1 << 17
@@ -156,24 +179,79 @@ _SMALL_BLOCKS = [
 
 @pytest.mark.parametrize("name", _SMALL_BLOCKS)
 def test_int_sweep_reports_what_the_packed_sweep_reports(name):
-    # Sweeps of at most 9 inputs run on Python ints and explain(); the
-    # packed numpy sweep through _first_failure is the reference, for the
-    # block and for each of its single-cell AND<->OR / NAND<->NOR swaps.
+    # The report of the int sweep against a reference that reads no fail
+    # word: evaluate_batch's uint8 columns, scanned row by row with
+    # explain() for the first vector that _passes rejects.  For the block
+    # and for each of its single-cell AND<->OR / NAND<->NOR swaps.
     circuit = build_block(BlockSpec(name))
     oracle = resolve_oracle(circuit)
-    mutants = [
-        with_kind(circuit, circuit.net_names[cell.out], _SWAPS[cell.kind])
-        for cell in circuit.cells
-        if cell.kind in _SWAPS
-    ]
+    columns = dict(zip(circuit.inputs, exhaustive_columns(len(circuit.inputs))))
+    swapped = mutants(circuit)
     failures = 0
-    for mutant in [circuit, *mutants]:
-        reference = verify._first_failure(mutant, oracle, simulate.iter_exhaustive(mutant))
+    for mutant in [circuit, *swapped]:
+        outs = evaluate_batch(mutant, columns)
+        reference = None
+        for index in range(1 << len(circuit.inputs)):
+            vec = {p: int(col[index]) for p, col in columns.items()}
+            out = {p: int(col[index]) for p, col in outs.items()}
+            if not verify._passes(*oracle.explain(vec, out)):
+                reference = verify._counterexample(oracle, index, vec, out)
+                break
         report = verify_exhaustive(mutant)
         assert report.counterexample == reference
         assert report.ok == (reference is None)
         failures += reference is not None
-    assert (failures > 0) == bool(mutants)
+    assert (failures > 0) == bool(swapped)
+
+
+def explain_rejects(oracle, ins, outs, count):
+    """The vectors below ``count`` whose bits ``_passes(*explain(...))``
+    rejects, read one vector at a time out of the words."""
+    return [
+        v
+        for v in range(count)
+        if not verify._passes(
+            *oracle.explain(
+                {p: word >> v & 1 for p, word in ins.items()},
+                {p: word >> v & 1 for p, word in outs.items()},
+            )
+        )
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec, rows",
+    [
+        *((BlockSpec(name), None) for name in _SMALL_BLOCKS),
+        (BlockSpec("kogge_stone", {"width": 8}), 200),
+        (BlockSpec("pipeline", {"cols": 8}), 64),
+    ],
+    ids=lambda v: (
+        v.label() if isinstance(v, BlockSpec) else "exhaustive" if v is None else f"random-{v}"
+    ),
+)
+def test_word_check_fails_where_explain_rejects(spec, rows):
+    # Each fail bit of the word check, against the scalar pass rule on the
+    # same vector: the whole input space of every block of at most 9
+    # inputs, or the first random chunk of a run of ``rows`` random rows,
+    # for the block and every single-cell mutant of it.
+    circuit = build_block(spec)
+    oracle = resolve_oracle(circuit)
+    if rows is None:
+        chunks = simulate._exhaustive_chunks(len(circuit.inputs))
+    else:
+        chunks = verify._random_chunks(circuit, structured_rows(circuit), 0, rows)
+    _, ones, words = next(chunks)
+    count = ones.bit_length()
+    ins = dict(zip(circuit.inputs, words))
+    failing = []
+    for mutant in [circuit, *mutants(circuit)]:
+        outs = dict(zip(circuit.outputs, _run(mutant, words, ones)))
+        fail = oracle.check(ins, outs) & ones
+        assert bits(fail, count) == explain_rejects(oracle, ins, outs, count)
+        failing.append(fail != 0)
+    # the block passes and some mutant fails
+    assert not failing[0] and any(failing)
 
 
 def test_int_sweep_reaches_its_last_vector():
@@ -190,38 +268,24 @@ def test_int_sweep_reaches_its_last_vector():
 
 
 def counting_engine(monkeypatch):
-    """A list that grows by one for each chunk verify hands the engine."""
+    """A list that grows by the vectors of each engine pass verify runs."""
     calls = []
 
-    def counting(circuit, columns):
-        calls.append(len(next(iter(columns.values()))))
-        return evaluate_batch(circuit, columns)
+    def counting(circuit, words, ones):
+        calls.append(ones.bit_length())
+        return _run(circuit, words, ones)
 
-    monkeypatch.setattr(verify, "evaluate_batch", counting)
-    return calls
-
-
-def counting_words(monkeypatch):
-    """A list that grows by the vectors of each packed engine chunk that
-    exhaustive verification simulates."""
-    calls = []
-    evaluate_words = simulate._evaluate_words
-
-    def counting(circuit, words):
-        calls.append(64 * len(words[0]))
-        return evaluate_words(circuit, words)
-
-    monkeypatch.setattr(simulate, "_evaluate_words", counting)
+    monkeypatch.setattr(verify, "_run", counting)
     return calls
 
 
 def test_exhaustive_stops_at_its_first_failing_chunk(monkeypatch):
-    # kogge_stone(width=9) has 19 inputs, so the sweep takes two engine
-    # chunks of 2^18 vectors.  n20, the AND(a0, b0) inside p0_0's XOR,
+    # kogge_stone(width=9) has 19 inputs, so the sweep takes two chunks
+    # of 2^18 vectors.  n20, the AND(a0, b0) inside p0_0's XOR,
     # turned into an OR makes p0_0 = 0, wrong first at b0 = 1 alone,
     # index 2^9, in the first chunk; the second is never simulated.
     adder = build_block(BlockSpec("kogge_stone", {"width": 9}))
-    calls = counting_words(monkeypatch)
+    calls = counting_engine(monkeypatch)
     report = verify_exhaustive(with_kind(adder, "n20", GateKind.OR2))
     assert calls == [1 << 18]
     assert report.status == "fail"
@@ -250,11 +314,11 @@ def flipped_where(adder, ports, flipped="s0"):
 @pytest.mark.parametrize(
     "make, index",
     [
-        # a1 = a2 = b0 = 1 first at index 3 * 2^16 + 2^9, mid-way through
-        # the fourth 2^16-vector slice of the first engine chunk
+        # a1 = a2 = b0 = 1 first at index 3 * 2^16 + 2^9, in the fourth
+        # quarter of the first 2^18-vector chunk
         (lambda adder: flipped_where(adder, ("a1", "a2", "b0")), 3 * 2**16 + 2**9),
         # n20 turned into a NOR makes p0_0 = a0 | b0, wrong first at
-        # a0 = b0 = 1, index 2^18 + 2^9, in the second engine chunk
+        # a0 = b0 = 1, index 2^18 + 2^9, in the second chunk
         (lambda adder: with_kind(adder, "n20", GateKind.NOR2), 2**18 + 2**9),
     ],
     ids=["fourth-slice", "second-engine-chunk"],
@@ -262,15 +326,12 @@ def flipped_where(adder, ports, flipped="s0"):
 def test_exhaustive_slices_report_the_single_shot_index(make, index):
     adder = build_block(BlockSpec("kogge_stone", {"width": 9}))
     broken = make(adder)
-    columns = dict(zip(adder.inputs, exhaustive_columns(19)))
-    single_shot = ORACLES["adder"].check(columns, evaluate_batch(broken, columns))
-    assert int(np.argmin(single_shot)) == index
+    fail = single_shot(adder, broken)
+    assert (fail & -fail).bit_length() - 1 == index
     report = verify_exhaustive(broken)
     assert report.status == "fail"
     assert report.counterexample["index"] == index
-    assert report.counterexample["vector"] == {
-        p: int(columns[p][index]) for p in adder.inputs
-    }
+    assert report.counterexample["vector"] == vector_at(adder, index)
 
 
 # ---------------------------------------------------------------------------
@@ -314,18 +375,17 @@ def test_structured_suite_catches_an_all_ones_bug_without_randomness():
 
 def engine_stimulus(monkeypatch, circuit, **kwargs):
     """The (vectors, inputs) stimulus ``verify_random`` hands to the
-    engine, joined across its chunks, and the number of chunks."""
+    engine, joined across its passes, and the number of passes."""
     seen = []
 
-    def recording(circuit, columns):
-        assert list(columns) == list(circuit.inputs)
-        # contiguous uint8 columns, which the engine reads without gathering
-        for port, col in columns.items():
-            assert col.dtype == np.uint8 and col.flags.c_contiguous, port
-        seen.append(np.stack(list(columns.values()), axis=1))  # a copy
-        return evaluate_batch(circuit, columns)
+    def recording(circuit, words, ones):
+        # one int word an input, no bit set past the pass's last vector
+        assert len(words) == len(circuit.inputs)
+        assert all(type(word) is int and word & ~ones == 0 for word in words)
+        seen.append(unpack(words, ones.bit_length()).T)
+        return _run(circuit, words, ones)
 
-    monkeypatch.setattr(verify, "evaluate_batch", recording)
+    monkeypatch.setattr(verify, "_run", recording)
     verify_random(circuit, **kwargs)
     return np.concatenate(seen), len(seen)
 
@@ -478,9 +538,8 @@ def test_narrow_random_chunks_stop_at_the_row_cap(monkeypatch):
     # The 4 structured rows count against the first chunk's rows, whose
     # draw then ends on a multiple of 8: 2^17 - 8 drawn rows.
     assert calls == [RANDOM_CHUNK_ROWS - 4, RANDOM_CHUNK_ROWS, 9]
-    # The oracle checks the uint8 columns it is given and keeps its sorted
-    # bits as bools; int64 copies of them took a chunk to about 61 bytes a
-    # row, int64 sorted bits to 26.
+    # The uint8 stimulus, its words, the engine's and the word check's
+    # words peak at about 4 bytes a row (tracemalloc).
     assert peak < 16 * RANDOM_CHUNK_ROWS
 
 
@@ -659,39 +718,41 @@ _SMALL = {
 def test_check_agrees_with_explain(oracle):
     name = next(n for n, info in REGISTRY.items() if info.oracle == oracle)
     circuit = build_block(BlockSpec(name, _SMALL.get(name, {})))
-    ins = dict(zip(circuit.inputs, exhaustive_columns(len(circuit.inputs))))
-    rows = 1 << len(circuit.inputs)
-    flipped_rows = np.arange(rows) % 3 == 0
+    ((_, ones, words),) = simulate._exhaustive_chunks(len(circuit.inputs))
+    ins = dict(zip(circuit.inputs, words))
+    rows = ones.bit_length()
+    flipped_rows = sum(1 << row for row in range(0, rows, 3))
     # each output alone, then all of them at once, which can leave a
     # weighted sum off by a multiple of twice its top weight, or unchanged
     for flipped in [(port,) for port in circuit.outputs] + [circuit.outputs]:
-        outs = dict(evaluate_batch(circuit, ins))
+        outs = dict(zip(circuit.outputs, _run(circuit, words, ones)))
         for port in flipped:
-            outs[port] = outs[port] ^ flipped_rows
-        mask = ORACLES[oracle].check(ins, outs)
+            outs[port] ^= flipped_rows
+        fail = ORACLES[oracle].check(ins, outs) & ones
         for row in range(rows):
             expected, actual = ORACLES[oracle].explain(
-                {p: int(col[row]) for p, col in ins.items()},
-                {p: int(col[row]) for p, col in outs.items()},
+                {p: word >> row & 1 for p, word in ins.items()},
+                {p: word >> row & 1 for p, word in outs.items()},
             )
             agree = list(expected.values()) == list(actual.values())
-            assert bool(mask[row]) == agree == verify._passes(expected, actual), (
+            assert (not fail >> row & 1) == agree == verify._passes(expected, actual), (
                 flipped,
                 row,
             )
         if len(flipped) == 1:
-            assert (mask == ~flipped_rows).all()
+            assert fail == flipped_rows
 
 
 @pytest.mark.parametrize("ports", [127, 128, 255, 32767, 32768])
 @pytest.mark.parametrize("light", [1, 16])
 @pytest.mark.parametrize("heavy_side", ["in", "out"])
 def test_weighted_carry_is_exact_at_its_dtype_boundaries(ports, light, heavy_side):
-    # int8 holds the carry up to 127 ports and int16 up to 32,767 (255
-    # would pass for uint8's limit, which an int8 carry overflows).  All
-    # but ``light`` ports sit at weight 2^0 on one side, so setting them
-    # drives |carry| to ports - light before the first shift; the light
-    # side counts in binary (2^0 .. 2^(light-1)).
+    # Port counts at the limits of narrow carry types (int8 to 127, uint8
+    # to 255, int16 to 32,767), where a check that counts in one would
+    # overflow; the carry-save tree's digits must stay exact past them.
+    # All but ``light`` ports sit at weight 2^0 on one side, so setting
+    # them sums to ports - light there; the light side counts in binary
+    # (2^0 .. 2^(light-1)).
     heavy = {f"h{j}": 0 for j in range(ports - light)}
     counted = {f"c{j}": j for j in range(light)}
     in_e, out_e = (heavy, counted) if heavy_side == "in" else (counted, heavy)
@@ -708,19 +769,24 @@ def test_weighted_carry_is_exact_at_its_dtype_boundaries(ports, light, heavy_sid
         ([1] * n, binary),  # passes when the light side can count to n
         ([1] * (n - 1) + [0], binary),
     ]
-    columns = {p: np.array([r[0][j] for r in rows], np.uint8) for j, p in enumerate(heavy)}
-    columns |= {p: np.array([r[1][j] for r in rows], np.uint8) for j, p in enumerate(counted)}
-    ins = {p: columns[p] for p in in_e}
-    outs = {p: columns[p] for p in out_e}
-    mask = oracle.check(ins, outs)
+    # bit k of a port's word is its value in row k
+    words = {
+        p: sum(r[0][j] << k for k, r in enumerate(rows)) for j, p in enumerate(heavy)
+    }
+    words |= {
+        p: sum(r[1][j] << k for k, r in enumerate(rows)) for j, p in enumerate(counted)
+    }
+    ins = {p: words[p] for p in in_e}
+    outs = {p: words[p] for p in out_e}
+    fail = oracle.check(ins, outs)
     agree = []
     for row in range(len(rows)):
         expected, actual = oracle.explain(
-            {p: int(col[row]) for p, col in ins.items()},
-            {p: int(col[row]) for p, col in outs.items()},
+            {p: word >> row & 1 for p, word in ins.items()},
+            {p: word >> row & 1 for p, word in outs.items()},
         )
         agree.append(list(expected.values()) == list(actual.values()))
-    assert mask.tolist() == agree
+    assert [not fail >> row & 1 for row in range(len(rows))] == agree
     assert agree[4] == (light == 16)
 
 
