@@ -19,9 +19,12 @@ Every mode runs the one engine, the circuit's op list on Python-int
 words (see simulate), chunk by chunk through one loop that checks each
 chunk's words with the oracle's ``check`` and stops at the first
 failing chunk.  An exhaustive chunk holds 2^18 vectors and needs no
-numpy.  A random chunk holds at most ``RANDOM_CHUNK_BYTES`` of stimulus
-and ``RANDOM_CHUNK_ROWS`` rows, structured rows included, so a run's
-memory follows one chunk and its run time follows ``count``.
+numpy.  A random chunk draws at most ``RANDOM_CHUNK_BYTES`` raw bytes
+(inputs x rows) and holds at most ``RANDOM_CHUNK_ROWS`` rows, structured
+rows included, so a run's memory follows one chunk and its run time
+follows ``count``.  Its stimulus is packed 8 inputs a byte straight from
+the raw words, then turned into the input words in 8x8 bit tiles, so no
+byte per stimulus bit is held.
 
 Failures report the first counterexample in scan order, the lowest set
 bit of the first failing chunk's fail word; for exhaustive mode that is
@@ -41,7 +44,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequenc
 
 from .core import SCHEMA_VERSION, Circuit, NetlistError
 from .generators import COMPRESSOR_INPUTS, REGISTRY
-from .simulate import _exhaustive_chunks, _pack, _run, vector_at
+from .simulate import _exhaustive_chunks, _run, vector_at
 
 if TYPE_CHECKING:
     import numpy as np
@@ -400,30 +403,74 @@ def structured_rows(circuit: Circuit) -> np.ndarray:
     return suite.T
 
 
-# Random rows are drawn this many at a time and transposed into the
-# stimulus.  The stream is bit 7 of each byte of PCG64's little-endian
-# raw words, which equals default_rng(seed).integers(0, 2, (count, n),
-# np.uint8): numpy draws each uint8 from one byte of the same words and
-# maps byte b into [0, 2) as (2 * b) >> 8 (tests pin the equality).  A
-# raw word holds 8 values and a block drops its last word's unused bytes,
-# so the blocks continue one stream only when each holds a multiple of 8
-# values: keep this a multiple of 8.  512 rows drew the 224-input array
-# fastest (a block of 115 KB stays in cache).
+# Random rows are drawn in whole blocks of this many rows.  The stream
+# is bit 7 of each byte of PCG64's little-endian raw words, which equals
+# default_rng(seed).integers(0, 2, (count, n), np.uint8): numpy draws
+# each uint8 from one byte of the same words and maps byte b into [0, 2)
+# as (2 * b) >> 8 (tests pin the equality).  A raw word holds 8 values
+# and a draw drops its last word's unused bytes, so the draws continue
+# one stream only when each holds a multiple of 8 values: keep this a
+# multiple of 8.
 RANDOM_BLOCK_ROWS = 512
 
 
-# A random-mode chunk holds at most this many stimulus bytes (inputs x
-# rows) and this many rows, the structured rows included, in whole
-# blocks of draws.  Each chunk pays one Python pass over the op list, so
-# the byte budget trades memory for time on wide blocks
-# (pipeline(cols=1024), 100k vectors: 1.00 s at 309 MB peak RSS, against
-# 0.92 s at 472 MB with 2^28 bytes).  The row cap binds below 1,024
-# inputs, where the engine and the oracle hold more per row than the
-# stimulus (tracemalloc peaks a row: sorter2 4.0 bytes against its 2 of
-# stimulus, half_sorter4 9.8, sorting_network4 9.8, traditional_fa 6.2).
-# Both keep the 224-input array's 100k vectors in one chunk.
+# A random-mode chunk draws at most this many raw bytes, one a stimulus
+# bit (inputs x rows), and holds at most this many rows, the structured
+# rows included, in whole blocks of draws.  Each chunk pays one Python
+# pass over the op list, so the byte budget trades memory for time on
+# wide blocks (pipeline(cols=1024), 100k vectors: 0.95 s at 264 MB peak
+# RSS, against 0.74 s at 348 MB with 2^28 bytes).  The row cap binds
+# below 1,024 inputs, where a chunk's memory follows its rows more than
+# its inputs (tracemalloc peaks a row: sorter2 6.9 bytes, half_sorter4
+# 9.8, sorting_network4 9.8, traditional_fa 7.2).  Both keep the
+# 224-input array's 100k vectors in one chunk.
 RANDOM_CHUNK_BYTES = 1 << 27
 RANDOM_CHUNK_ROWS = 1 << 17
+
+# A draw takes as many whole blocks as fit in this many bytes with each
+# row padded to whole bytes of inputs, and at least one, so that the
+# draw, its padded rows and their gathered bytes stay in cache.  On 2
+# vCPUs, 100k rows of 14 and 56 inputs drew fastest at 2^17 (2^16 and
+# 2^18 took 4-10% longer); 224 inputs draw one block at any size to 2^17.
+_DRAW_BYTES = 1 << 17
+# Bit 7 of each byte of a uint64, and the multiplier that gathers them
+# into its top byte: bit 7 of byte k lands on bit 56 + k, and no two
+# partial products meet, so nothing carries.
+_BIT7 = 0x8080808080808080
+_GATHER = 0x0002040810204081
+# The delta swaps (shift, mask) that transpose the 8x8 bit matrix in a
+# uint64, bit j of byte k to bit k of byte j (Warren, Hacker's Delight,
+# section 7-3, transpose8).
+_TRANSPOSE8 = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0xF0F0F0F0))
+
+
+def _transpose_bits(packed: np.ndarray) -> np.ndarray:
+    """Each column's word of a bit matrix, from its rows packed 8
+    columns a byte; overwrites ``packed``.
+
+    ``packed`` is (b, 8t) uint8: byte (q, r) holds columns 8q to 8q + 7
+    of row r, low bit first, as the transpose of ``np.packbits(bits,
+    axis=1, bitorder="little")`` does.  The result is (8b, t) uint8: bit
+    j of byte (c, s) is column c of row 8s + j, so each row is one
+    column's little-endian word.  The matrix goes through in 8x8 bit
+    tiles, one a uint64 whose byte j is row 8s + j: three delta swaps
+    transpose each tile, and a byte transpose gathers each column's
+    bytes.
+    """
+    import numpy as np
+
+    width = len(packed)
+    x = packed.view("<u8")
+    t = np.empty_like(x)
+    for shift, mask in _TRANSPOSE8:
+        np.right_shift(x, shift, out=t)
+        t ^= x
+        t &= mask
+        x ^= t
+        t <<= shift
+        x ^= t
+    tiles = x.view(np.uint8).reshape(width, -1, 8).transpose(0, 2, 1)
+    return np.ascontiguousarray(tiles).reshape(8 * width, -1)
 
 
 def _random_chunks(
@@ -434,20 +481,27 @@ def _random_chunks(
 
     A chunk is cut every ``step`` rows of that sequence, so the
     structured rows count against the budget; a cut inside the random
-    stream moves back to a multiple of 8 drawn rows, so that every block
-    of draws but the last holds whole raw words.  Every chunk is written
-    into one reused (inputs, rows) uint8 buffer, then each input's row
-    is packed into its word.  Random rows are drawn in blocks and
-    written transposed, so no row-major copy of a chunk exists.
+    stream moves back to a multiple of 8 drawn rows, so that every draw
+    but the last holds whole raw words.  Each chunk's rows are packed 8
+    inputs a byte into one reused (inputs / 8, rows) uint8 matrix: the
+    structured rows by ``np.packbits``, each draw by one multiply that
+    gathers bit 7 of 8 bytes of a row while the draw is still row-major.
+    :func:`_transpose_bits` then turns the matrix into the inputs'
+    words, so no byte per stimulus bit is ever written.
     """
     import numpy as np
 
     n = len(circuit.inputs)
+    width = -(-n // 8)  # packed bytes a row
     most = min(RANDOM_CHUNK_BYTES // n, RANDOM_CHUNK_ROWS)  # rows a chunk may hold
     step = max(1, most // RANDOM_BLOCK_ROWS) * RANDOM_BLOCK_ROWS
     head = len(structured)  # rows ahead of the draw
     total = head + count
-    buffer = np.empty((n, min(step, total)), np.uint8)
+    # rows a draw may hold, and its rows padded to whole bytes of inputs
+    draw = max(1, _DRAW_BYTES // (8 * width * RANDOM_BLOCK_ROWS)) * RANDOM_BLOCK_ROWS
+    padded = np.zeros((draw, 8 * width), np.uint8)
+    lanes = np.empty((draw, width), np.uint64)
+    packed = np.empty((width, -(-min(step, total) // 8) * 8), np.uint8)
     raw = np.random.default_rng(seed).bit_generator.random_raw
     start = 0
     while start < total:
@@ -455,15 +509,25 @@ def _random_chunks(
         if stop > head:
             stop -= (stop - head) % 8
         stop = min(stop, total)
+        size = stop - start
+        chunk = packed[:, : -(-size // 8) * 8]
+        chunk[:, size:] = 0  # rows past the chunk's last vector
         fixed = max(0, min(stop, head) - start)  # structured rows in the chunk
-        buffer[:, :fixed] = structured[start : start + fixed].T
-        for row in range(max(start, head), stop, RANDOM_BLOCK_ROWS):
-            rows = min(RANDOM_BLOCK_ROWS, stop - row)
-            words = raw(-(-rows * n // 8)).astype("<u8", copy=False)
-            block = words.view(np.uint8)[: rows * n].reshape(rows, n)
-            col = row - start
-            np.right_shift(block.T, 7, out=buffer[:, col : col + rows])
-        yield start, (1 << (stop - start)) - 1, _pack(buffer[:, : stop - start])
+        rows = np.packbits(structured[start : start + fixed], axis=1, bitorder="little")
+        chunk[:, :fixed] = rows.T
+        for row in range(start + fixed, stop, draw):
+            drawn = min(draw, stop - row)
+            words = raw(-(-drawn * n // 8)).astype("<u8", copy=False)
+            padded[:drawn, :n] = words.view(np.uint8)[: drawn * n].reshape(drawn, n)
+            gathered = lanes[:drawn]
+            np.bitwise_and(padded[:drawn].view("<u8"), _BIT7, out=gathered)
+            gathered *= _GATHER
+            column = row - start
+            np.right_shift(
+                gathered, 56, out=chunk[:, column : column + drawn].T, casting="unsafe"
+            )
+        columns = _transpose_bits(chunk)[:n]
+        yield start, (1 << size) - 1, [int.from_bytes(c, "little") for c in columns]
         start = stop
 
 
@@ -479,9 +543,10 @@ def verify_random(
     ``default_rng(seed).integers(0, 2, (count, n), np.uint8)``; tests pin
     the equality.
     They are drawn and checked in chunks of at most
-    ``RANDOM_CHUNK_BYTES`` of stimulus and ``RANDOM_CHUNK_ROWS`` rows,
-    structured rows included, and the run stops at the first failing
-    chunk, so memory follows one chunk and run time ``count``.
+    ``RANDOM_CHUNK_BYTES`` raw bytes (inputs x rows) and
+    ``RANDOM_CHUNK_ROWS`` rows, structured rows included, and the run
+    stops at the first failing chunk, so memory follows one chunk and
+    run time ``count``.
     """
     if count < 0:
         raise NetlistError("count must be >= 0")

@@ -450,6 +450,8 @@ _STREAM_CIRCUITS = {
     3: lambda: build_block(BlockSpec("traditional_fa")),
     7: lambda: build_block(BlockSpec("array_reducer", {"cols": 1})),
     9: lambda: build_block(BlockSpec("compressor72_proposed")),
+    14: lambda: build_block(BlockSpec("pipeline", {"cols": 2})),
+    56: lambda: build_block(BlockSpec("pipeline", {"cols": 8})),
     224: lambda: build_block(BlockSpec("pipeline", {"cols": 32})),
 }
 _STREAM_COUNTS = (
@@ -538,9 +540,58 @@ def test_narrow_random_chunks_stop_at_the_row_cap(monkeypatch):
     # The 4 structured rows count against the first chunk's rows, whose
     # draw then ends on a multiple of 8: 2^17 - 8 drawn rows.
     assert calls == [RANDOM_CHUNK_ROWS - 4, RANDOM_CHUNK_ROWS, 9]
-    # The uint8 stimulus, its words, the engine's and the word check's
-    # words peak at about 4 bytes a row (tracemalloc).
+    # The packed stimulus, its tile transpose, the draw's padded rows,
+    # the engine's and the word check's words peak at about 7 bytes a
+    # row (tracemalloc).
     assert peak < 16 * RANDOM_CHUNK_ROWS
+
+
+def test_array_random_holds_no_byte_per_stimulus_bit():
+    # The paper's 224-input array at 100k random rows: one byte a stimulus
+    # bit would take inputs x rows = 22.46 MB alone.
+    circuit = build_block(BlockSpec("pipeline", {"cols": 32}))
+    verify_random(circuit, count=1)  # compiles the op list
+    tracemalloc.start()
+    try:
+        report = verify_random(circuit, seed=3, count=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < len(circuit.inputs) * report.vectors_tried
+
+
+_TILE_SIZES = (1, 7, 9, 63, 513)
+
+
+@pytest.mark.parametrize("inputs", _TILE_SIZES, ids="inputs={}".format)
+@pytest.mark.parametrize("rows", _TILE_SIZES, ids="rows={}".format)
+def test_bit_tiles_transpose_to_each_inputs_word(rows, inputs):
+    bits = np.random.default_rng(rows * inputs).integers(0, 2, (rows, inputs), np.uint8)
+    for matrix in (bits, np.ones_like(bits)):
+        width, tiles = -(-inputs // 8), -(-rows // 8)
+        packed = np.zeros((width, 8 * tiles), np.uint8)  # rows past the last are 0
+        packed[:, :rows] = np.packbits(matrix, axis=1, bitorder="little").T
+        columns = verify._transpose_bits(packed)
+        assert columns.shape == (8 * width, tiles)
+        expected = np.packbits(matrix.T, axis=1, bitorder="little")
+        assert np.array_equal(columns[:inputs], expected)
+        assert not columns[inputs:].any()
+
+
+@pytest.mark.parametrize("count", (RANDOM_BLOCK_ROWS + 3, 2 * RANDOM_BLOCK_ROWS + 5))
+def test_no_bit_is_set_past_a_chunks_last_vector(monkeypatch, count):
+    # In chunks of one block, the short last chunk reuses rows that the
+    # chunk before it filled; none of them may reach its words.
+    circuit = build_block(BlockSpec("compressor72_proposed"))
+    structured = structured_rows(circuit)
+    monkeypatch.setattr(verify, "RANDOM_CHUNK_BYTES", _ONE_BLOCK)
+    chunks = list(verify._random_chunks(circuit, structured, 1, count))
+    offset, ones, _ = chunks[-1]
+    assert len(chunks) > 1 and ones.bit_length() % 8
+    assert offset + ones.bit_length() == len(structured) + count
+    for offset, ones, words in chunks:
+        assert all(word & ~ones == 0 for word in words)
 
 
 def test_fault_at_the_last_vector_of_a_65_vector_run_is_reported_there():
