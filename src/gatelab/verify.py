@@ -22,9 +22,9 @@ failing chunk.  An exhaustive chunk holds 2^18 vectors and needs no
 numpy.  A random chunk draws at most ``RANDOM_CHUNK_BYTES`` raw bytes
 (inputs x rows) and holds at most ``RANDOM_CHUNK_ROWS`` rows, structured
 rows included, so a run's memory follows one chunk and its run time
-follows ``count``.  Its stimulus is packed 8 inputs a byte straight from
-the raw words, then turned into the input words in 8x8 bit tiles, so no
-byte per stimulus bit is held.
+follows ``count``.  Its rows, structured or drawn, are packed 8 inputs
+a byte by one ``np.packbits`` a piece, then turned into the input words
+in 8x8 bit tiles, so no byte per stimulus bit is held.
 
 Failures report the first counterexample in scan order, the lowest set
 bit of the first failing chunk's fail word; for exhaustive mode that is
@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequenc
 
 from .core import SCHEMA_VERSION, Circuit, NetlistError
 from .generators import COMPRESSOR_INPUTS, REGISTRY
-from .simulate import _exhaustive_chunks, _run, vector_at
+from .simulate import _CHUNK_LOG2, _exhaustive_chunks, _run, vector_at
 
 if TYPE_CHECKING:
     import numpy as np
@@ -382,25 +382,36 @@ def verify_exhaustive(circuit: Circuit) -> VerificationReport:
     )
 
 
-def structured_rows(circuit: Circuit) -> np.ndarray:
-    """All-zeros, all-ones, the one-hot walk, and for array-shaped
-    blocks (``bit_<r>_<c>`` inputs) each fully saturated column.
-
-    The (rows, inputs) result is a view of a column-major array, so
-    each input's column is contiguous.
-    """
+def _suite(circuit: Circuit) -> tuple[int, Callable[[int, int], np.ndarray]]:
+    """The structured suite's row count, and the expression of the row
+    index that gives its rows ``lo`` to ``hi - 1`` as a (hi - lo, inputs)
+    bool array: row 0 sets no input, row 1 sets every input, row 2 + i
+    sets input i, and on array-shaped blocks (``bit_<r>_<c>`` inputs)
+    row 2 + n + k sets every input of the k-th lowest column."""
     import numpy as np
 
     n = len(circuit.inputs)
     array = all(p.startswith("bit_") for p in circuit.inputs)
     column = list(_COLUMN(circuit.inputs).values()) if array else []
-    saturated = sorted(set(column))
-    suite = np.zeros((n, 2 + n + len(saturated)), np.uint8)
-    suite[:, 1] = 1
-    np.fill_diagonal(suite[:, 2:], 1)
-    if saturated:
-        suite[:, 2 + n :] = np.equal.outer(column, saturated)
-    return suite.T
+    saturated = {c: 2 + n + k for k, c in enumerate(sorted(set(column)))}
+    # the row that saturates each input's column, or -1 (none) off arrays
+    saturating = np.array([saturated[c] for c in column] or -1)
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        r = np.arange(lo, hi)[:, None]
+        return (r == 1) | (r == np.arange(2, 2 + n)) | (r == saturating)
+
+    return 2 + n + len(saturated), rows
+
+
+def structured_rows(circuit: Circuit) -> np.ndarray:
+    """All-zeros, all-ones, the one-hot walk, and for array-shaped
+    blocks (``bit_<r>_<c>`` inputs) each fully saturated column, lowest
+    first: the (rows, inputs) 0/1 uint8 rows random mode runs first."""
+    import numpy as np
+
+    count, rows = _suite(circuit)
+    return rows(0, count).view(np.uint8)
 
 
 # Random rows are drawn in whole blocks of this many rows.  The stream
@@ -415,29 +426,24 @@ RANDOM_BLOCK_ROWS = 512
 
 
 # A random-mode chunk draws at most this many raw bytes, one a stimulus
-# bit (inputs x rows), and holds at most this many rows, the structured
-# rows included, in whole blocks of draws.  Each chunk pays one Python
-# pass over the op list, so the byte budget trades memory for time on
-# wide blocks (pipeline(cols=1024), 100k vectors: 0.95 s at 264 MB peak
-# RSS, against 0.74 s at 348 MB with 2^28 bytes).  The row cap binds
-# below 1,024 inputs, where a chunk's memory follows its rows more than
-# its inputs (tracemalloc peaks a row: sorter2 6.9 bytes, half_sorter4
-# 9.8, sorting_network4 9.8, traditional_fa 7.2).  Both keep the
-# 224-input array's 100k vectors in one chunk.
+# bit (inputs x rows), and holds at most this many rows, structured rows
+# included, in whole blocks of draws, packed one bit each.  Each chunk
+# pays one Python pass over the op list, so the byte budget trades memory
+# for time on wide blocks (pipeline(cols=1024), 100k vectors: 0.84 s at
+# 202 MB peak RSS, against 0.74 s at 294 MB with 2^28 bytes).  The row
+# cap, an exhaustive engine pass, binds below 512 inputs, where a chunk's
+# memory follows its rows (tracemalloc peaks a row: sorter2 5.4 bytes,
+# half_sorter4 8.6, sorting_network4 8.6, traditional_fa 6.0).  Both keep
+# the 224-input array's 100k vectors in one chunk.
 RANDOM_CHUNK_BYTES = 1 << 27
-RANDOM_CHUNK_ROWS = 1 << 17
+RANDOM_CHUNK_ROWS = 1 << _CHUNK_LOG2
 
-# A draw takes as many whole blocks as fit in this many bytes with each
-# row padded to whole bytes of inputs, and at least one, so that the
-# draw, its padded rows and their gathered bytes stay in cache.  On 2
-# vCPUs, 100k rows of 14 and 56 inputs drew fastest at 2^17 (2^16 and
-# 2^18 took 4-10% longer); 224 inputs draw one block at any size to 2^17.
+# A chunk's rows are packed in pieces of as many whole blocks as fit in
+# this many bools, each row padded to whole bytes of inputs, and at
+# least one, so that a piece stays in cache.  On 2 vCPUs, 100k rows of
+# 14, 56 and 224 inputs went through in 0.79, 2.04 and 8.62 ms at 2^17,
+# within 6% of the best size from 2^15 to 2^19; 2^15 took up to 30% more.
 _DRAW_BYTES = 1 << 17
-# Bit 7 of each byte of a uint64, and the multiplier that gathers them
-# into its top byte: bit 7 of byte k lands on bit 56 + k, and no two
-# partial products meet, so nothing carries.
-_BIT7 = 0x8080808080808080
-_GATHER = 0x0002040810204081
 # The delta swaps (shift, mask) that transpose the 8x8 bit matrix in a
 # uint64, bit j of byte k to bit k of byte j (Warren, Hacker's Delight,
 # section 7-3, transpose8).
@@ -474,20 +480,21 @@ def _transpose_bits(packed: np.ndarray) -> np.ndarray:
 
 
 def _random_chunks(
-    circuit: Circuit, structured: np.ndarray, seed: int, count: int
+    circuit: Circuit, seed: int, count: int
 ) -> Iterator[tuple[int, int, list[int]]]:
-    """(offset, all-ones word, input words) chunks of the rows of
-    ``structured``, then ``count`` rows of the seeded random stream.
+    """(offset, all-ones word, input words) chunks of the structured
+    suite's rows, then ``count`` rows of the seeded random stream.
 
     A chunk is cut every ``step`` rows of that sequence, so the
     structured rows count against the budget; a cut inside the random
     stream moves back to a multiple of 8 drawn rows, so that every draw
-    but the last holds whole raw words.  Each chunk's rows are packed 8
-    inputs a byte into one reused (inputs / 8, rows) uint8 matrix: the
-    structured rows by ``np.packbits``, each draw by one multiply that
-    gathers bit 7 of 8 bytes of a row while the draw is still row-major.
-    :func:`_transpose_bits` then turns the matrix into the inputs'
-    words, so no byte per stimulus bit is ever written.
+    but the last holds whole raw words.  Each chunk goes through in
+    pieces of at most ``draw`` rows, structured or drawn, whose bools
+    fill a zero-padded (rows, 8 x width) buffer; one flat ``np.packbits``
+    packs it 8 inputs a byte into the chunk's reused (width, rows) uint8
+    matrix, which :func:`_transpose_bits` turns into the inputs' words.
+    So a chunk holds one bit a stimulus bit, and a piece at most
+    ``_DRAW_BYTES`` bools or one block.
     """
     import numpy as np
 
@@ -495,12 +502,10 @@ def _random_chunks(
     width = -(-n // 8)  # packed bytes a row
     most = min(RANDOM_CHUNK_BYTES // n, RANDOM_CHUNK_ROWS)  # rows a chunk may hold
     step = max(1, most // RANDOM_BLOCK_ROWS) * RANDOM_BLOCK_ROWS
-    head = len(structured)  # rows ahead of the draw
+    head, suite = _suite(circuit)  # rows ahead of the draw
     total = head + count
-    # rows a draw may hold, and its rows padded to whole bytes of inputs
     draw = max(1, _DRAW_BYTES // (8 * width * RANDOM_BLOCK_ROWS)) * RANDOM_BLOCK_ROWS
-    padded = np.zeros((draw, 8 * width), np.uint8)
-    lanes = np.empty((draw, width), np.uint64)
+    bits = np.zeros((draw, 8 * width), bool)  # a piece's rows, padded
     packed = np.empty((width, -(-min(step, total) // 8) * 8), np.uint8)
     raw = np.random.default_rng(seed).bit_generator.random_raw
     start = 0
@@ -512,20 +517,17 @@ def _random_chunks(
         size = stop - start
         chunk = packed[:, : -(-size // 8) * 8]
         chunk[:, size:] = 0  # rows past the chunk's last vector
-        fixed = max(0, min(stop, head) - start)  # structured rows in the chunk
-        rows = np.packbits(structured[start : start + fixed], axis=1, bitorder="little")
-        chunk[:, :fixed] = rows.T
-        for row in range(start + fixed, stop, draw):
-            drawn = min(draw, stop - row)
-            words = raw(-(-drawn * n // 8)).astype("<u8", copy=False)
-            padded[:drawn, :n] = words.view(np.uint8)[: drawn * n].reshape(drawn, n)
-            gathered = lanes[:drawn]
-            np.bitwise_and(padded[:drawn].view("<u8"), _BIT7, out=gathered)
-            gathered *= _GATHER
-            column = row - start
-            np.right_shift(
-                gathered, 56, out=chunk[:, column : column + drawn].T, casting="unsafe"
-            )
+        fixed = min(stop, head)  # where the chunk's structured rows end
+        for row in (*range(start, fixed, draw), *range(max(start, head), stop, draw)):
+            end = min(row + draw, fixed if row < head else stop)
+            rows = end - row
+            if row < head:
+                bits[:rows, :n] = suite(row, end)
+            else:  # bit 7 of each raw byte
+                drawn = raw(-(-rows * n // 8)).astype("<u8", copy=False).view(np.uint8)
+                np.greater(drawn[: rows * n].reshape(rows, n), 127, out=bits[:rows, :n])
+            piece = np.packbits(bits[:rows], axis=None, bitorder="little")
+            chunk[:, row - start : end - start] = piece.reshape(rows, width).T
         columns = _transpose_bits(chunk)[:n]
         yield start, (1 << size) - 1, [int.from_bytes(c, "little") for c in columns]
         start = stop
@@ -548,23 +550,21 @@ def verify_random(
     stops at the first failing chunk, so memory follows one chunk and
     run time ``count``.
     """
-    if count < 0:
-        raise NetlistError("count must be >= 0")
-    if seed < 0:
-        raise NetlistError("seed must be >= 0")
+    for name, value in (("count", count), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise NetlistError(f"{name} must be a non-negative int, got {value!r}")
     orc = resolve_oracle(circuit)
-    structured = structured_rows(circuit)
-    chunks = _random_chunks(circuit, structured, seed, count)
-    failure = _first_failure(circuit, orc, chunks)
+    head, _ = _suite(circuit)
+    failure = _first_failure(circuit, orc, _random_chunks(circuit, seed, count))
     return _report(
         circuit,
         failure,
         oracle=orc.name,
         mode="random",
-        vectors_tried=len(structured) + count,
+        vectors_tried=head + count,
         prng=PRNG_NAME,
         seed=seed,
-        structured_count=len(structured),
+        structured_count=head,
         random_count=count,
     )
 

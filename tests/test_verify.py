@@ -240,7 +240,7 @@ def test_word_check_fails_where_explain_rejects(spec, rows):
     if rows is None:
         chunks = simulate._exhaustive_chunks(len(circuit.inputs))
     else:
-        chunks = verify._random_chunks(circuit, structured_rows(circuit), 0, rows)
+        chunks = verify._random_chunks(circuit, 0, rows)
     _, ones, words = next(chunks)
     count = ones.bit_length()
     ins = dict(zip(circuit.inputs, words))
@@ -351,6 +351,24 @@ def test_random_mode_runs_structured_suite_first():
     assert report.vectors_tried == 76
 
 
+@pytest.mark.parametrize(
+    "spec, columns",
+    (
+        (BlockSpec("traditional_fa"), []),
+        # bit_<r>_<c> runs row by row, so the two columns alternate
+        (BlockSpec("array_reducer", {"cols": 2}), [[1, 0] * 7, [0, 1] * 7]),
+    ),
+    ids=("traditional_fa", "array_reducer-cols=2"),
+)
+def test_structured_rows_are_pinned(spec, columns):
+    circuit = build_block(spec)
+    n = len(circuit.inputs)
+    rows = structured_rows(circuit)
+    assert rows.dtype == np.uint8
+    expected = np.vstack([np.zeros(n), np.ones(n), np.eye(n), *columns])
+    assert np.array_equal(rows, expected)
+
+
 def test_random_reports_are_seed_deterministic():
     c = build_block(BlockSpec("pipeline"))
     a = verify_random(c, seed=42, count=200)
@@ -417,6 +435,8 @@ _STIMULUS_BLOCKS = (
     BlockSpec("traditional_fa"),
     BlockSpec("compressor72_proposed"),
     BlockSpec("array_reducer", {"cols": 1}),
+    # 1,026 structured rows: several pieces, and several one-block chunks
+    BlockSpec("pipeline", {"cols": 128}),
 )
 
 
@@ -538,10 +558,10 @@ def test_narrow_random_chunks_stop_at_the_row_cap(monkeypatch):
         tracemalloc.stop()
     assert report.ok
     # The 4 structured rows count against the first chunk's rows, whose
-    # draw then ends on a multiple of 8: 2^17 - 8 drawn rows.
+    # draw then ends on a multiple of 8: 2^18 - 8 drawn rows.
     assert calls == [RANDOM_CHUNK_ROWS - 4, RANDOM_CHUNK_ROWS, 9]
-    # The packed stimulus, its tile transpose, the draw's padded rows,
-    # the engine's and the word check's words peak at about 7 bytes a
+    # The packed stimulus, its tile transpose, a piece's padded bools,
+    # the engine's and the word check's words peak at about 5.4 bytes a
     # row (tracemalloc).
     assert peak < 16 * RANDOM_CHUNK_ROWS
 
@@ -559,6 +579,22 @@ def test_array_random_holds_no_byte_per_stimulus_bit():
         tracemalloc.stop()
     assert report.ok
     assert peak < len(circuit.inputs) * report.vectors_tried
+
+
+def test_random_mode_never_holds_the_whole_structured_suite():
+    # pipeline(cols=512): 3,584 inputs and 4,098 structured rows, whose
+    # (rows, inputs) bytes alone would take 14.69 MB.  The suite is built
+    # a piece at a time, packed one bit a stimulus bit.
+    circuit = build_block(BlockSpec("pipeline", {"cols": 512}))
+    verify_random(circuit, count=0)  # compiles the op list
+    tracemalloc.start()
+    try:
+        report = verify_random(circuit, count=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < len(circuit.inputs) * report.structured_count
 
 
 _TILE_SIZES = (1, 7, 9, 63, 513)
@@ -586,7 +622,7 @@ def test_no_bit_is_set_past_a_chunks_last_vector(monkeypatch, count):
     circuit = build_block(BlockSpec("compressor72_proposed"))
     structured = structured_rows(circuit)
     monkeypatch.setattr(verify, "RANDOM_CHUNK_BYTES", _ONE_BLOCK)
-    chunks = list(verify._random_chunks(circuit, structured, 1, count))
+    chunks = list(verify._random_chunks(circuit, 1, count))
     offset, ones, _ = chunks[-1]
     assert len(chunks) > 1 and ones.bit_length() % 8
     assert offset + ones.bit_length() == len(structured) + count
@@ -620,6 +656,10 @@ def test_random_count_validation():
         verify_random(c, count=-1)
     with pytest.raises(NetlistError, match="seed"):
         verify_random(c, seed=-1)
+    # a bool or a non-int is refused too, not written into the report
+    for name, value in (("seed", True), ("count", 2.5), ("count", False), ("seed", "1")):
+        with pytest.raises(NetlistError, match=f"{name} must be a non-negative int"):
+            verify_random(c, **{name: value})
 
 
 # ---------------------------------------------------------------------------
