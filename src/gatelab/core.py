@@ -125,10 +125,10 @@ class Circuit:
     instances: tuple[Instance, ...] = ()
 
     def __getstate__(self) -> dict:
-        # The engine's op list (simulate._compile), kept here after the
-        # first evaluation, holds GATE_FN's lambdas, which do not pickle;
-        # it is compiled again on first use.
-        return {k: v for k, v in vars(self).items() if k != "_ops"}
+        # The engine's op lists (simulate._cached), kept here in private
+        # attributes after first use, hold GATE_FN's lambdas, which do not
+        # pickle; they are compiled again on first use.
+        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
 
     @property
     def num_nets(self) -> int:

@@ -7,22 +7,29 @@ runs on Python ints, one word per live net, whose bit v is the net's
 value in vector v; the all-ones word of the run's length is GATE_FN's
 inversion value.  So every vector of a word is evaluated at once,
 bitwise.  A single vector is a 1-bit word; a batch of uint8 columns is
-packed into one word per input and its outputs unpacked again; an
-exhaustive sweep runs in chunks of 2^18 vectors, a word a net.
+packed into one word per input and its outputs unpacked again.
 
 Exhaustive enumeration order is documented and relied on elsewhere:
 vector index v assigns input i (in declared order) the bit
 ``(v >> (n - 1 - i)) & 1``, so ascending index is ascending
-lexicographic order over input tuples.  :func:`_exhaustive_chunks`
-yields the sweep's input words in that order, and
-:func:`exhaustive_columns` the same inputs as uint8 columns.
+lexicographic order over input tuples; :func:`exhaustive_columns` gives
+the inputs in that order as uint8 columns.  An exhaustive sweep
+(:func:`_sweep`) runs in chunks of 2^18 vectors, a word a net.  Up to 18
+inputs it is one chunk in enumeration order.  Above, each chunk fixes
+the n - 18 inputs whose fan-out cones reach the fewest cells, so the
+cells outside those cones run once a sweep and only the cones run once
+a chunk; a chunk's bits are its vectors in ascending index, and chunks
+come in ascending order of their lowest index.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+import functools
+from typing import (
+    TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Mapping, Sequence
+)
 
-from .core import GATE_FN, Circuit, NetlistError
+from .core import GATE_FN, Cell, Circuit, NetlistError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -63,24 +70,45 @@ def _stimulus(circuit: Circuit, columns: Mapping[str, object]) -> list[np.ndarra
     return cols
 
 
-def _compile(circuit: Circuit) -> tuple[tuple, ...]:
-    """The circuit's cells as a flat op list in topological order, each
-    op (gate function from GATE_FN, input nets, output net, nets to free
-    after it).
+def _compile(cells: Sequence[Cell], keep: Collection[int]) -> tuple[tuple, ...]:
+    """``cells``, in topological order, as a flat op list, each op (gate
+    function from GATE_FN, input nets, output net, nets to free after
+    it).
 
-    An op frees the non-output nets it reads for the last time, so only
-    live nets hold values.
+    An op frees the nets outside ``keep`` that it reads for the last
+    time among ``cells``, so only live nets hold values.
     """
-    keep = set(circuit.output_nets)
-    last_read = {net: k for k, cell in enumerate(circuit.cells) for net in cell.ins}
-    free: list[list[int]] = [[] for _ in circuit.cells]
+    last_read = {net: k for k, cell in enumerate(cells) for net in cell.ins}
+    free: list[list[int]] = [[] for _ in cells]
     for net, k in last_read.items():
         if net not in keep:
             free[k].append(net)
     return tuple(
         (GATE_FN[cell.kind], cell.ins, cell.out, tuple(nets))
-        for cell, nets in zip(circuit.cells, free)
+        for cell, nets in zip(cells, free)
     )
+
+
+def _exec(ops: tuple[tuple, ...], values: list, ones: int, nets: Iterable[int]) -> list:
+    """Run an op list in place on ``values``, one word (or None) a net;
+    returns the words of ``nets``."""
+    get = values.__getitem__
+    for fn, ins, out, free in ops:
+        values[out] = fn(*map(get, ins), ones)
+        for net in free:
+            values[net] = None
+    return [values[net] for net in nets]
+
+
+def _cached(circuit: Circuit, name: str, make: Callable[[Circuit], tuple]) -> tuple:
+    """``make(circuit)``, made on first use and kept on the circuit in the
+    private attribute ``name``, which is no dataclass field and which
+    pickling drops."""
+    value = circuit.__dict__.get(name)
+    if value is None:
+        value = make(circuit)
+        object.__setattr__(circuit, name, value)
+    return value
 
 
 def _run(circuit: Circuit, inputs: list[int], ones: int) -> list[int]:
@@ -88,20 +116,11 @@ def _run(circuit: Circuit, inputs: list[int], ones: int) -> list[int]:
     and the all-ones word of their length.
 
     This is the one engine: it runs the circuit's op list, compiled on
-    first use and kept on the circuit in a private attribute that is no
-    dataclass field.
+    first use and kept on the circuit.
     """
-    ops = circuit.__dict__.get("_ops")
-    if ops is None:
-        ops = _compile(circuit)
-        object.__setattr__(circuit, "_ops", ops)
+    ops = _cached(circuit, "_ops", lambda c: _compile(c.cells, set(c.output_nets)))
     values = inputs + [None] * (circuit.num_nets - len(inputs))
-    get = values.__getitem__
-    for fn, ins, out, free in ops:
-        values[out] = fn(*map(get, ins), ones)
-        for net in free:
-            values[net] = None
-    return [values[net] for net in circuit.output_nets]
+    return _exec(ops, values, ones, circuit.output_nets)
 
 
 def _pack(columns: Iterable[np.ndarray]) -> list[int]:
@@ -174,37 +193,94 @@ def exhaustive_columns(n_inputs: int) -> list[np.ndarray]:
     return list(cols)
 
 
-# log2 of the vectors in an exhaustive sweep's chunk, one pass of the op
-# list each.  kogge_stone(width=11)'s 2^23 vectors with the word check,
-# in-process on 2 vCPUs: 10.4 ms a sweep at a tracemalloc peak of 2.4
-# MiB, against 16.0 ms (0.6 MiB) in chunks of 2^16, 9.2 ms (9.7 MiB) in
-# chunks of 2^20 and 29.2 ms (68 MiB) in one chunk of 2^23.
+# log2 of the vectors in an exhaustive sweep's chunk, one pass of the
+# cone's op list each.  kogge_stone(width=11)'s 2^23 vectors with the
+# word check, in-process on 2 vCPUs: 6.0 ms a sweep at a tracemalloc
+# peak of 2.2 MiB, against 10.0 ms (0.7 MiB) in chunks of 2^16, 6.7 ms
+# (8.4 MiB) in chunks of 2^20 and 30.5 ms (68 MiB) in one chunk of 2^23.
+# Random mode's row cap derives from it.
 _CHUNK_LOG2 = 18
 
 
-def _exhaustive_chunks(n_inputs: int) -> Iterator[tuple[int, int, list[int]]]:
-    """(offset, all-ones word, input words) for each chunk of the 2^n
-    vectors, in enumeration order; bit b of a chunk's words is vector
-    ``offset + b``.
+def _plan(circuit: Circuit) -> tuple[list[int], tuple[tuple, ...], tuple[tuple, ...]]:
+    """The inputs an exhaustive sweep of more than 2^18 vectors fixes in
+    each chunk, by index in declared order, then the op lists of the
+    cells outside their fan-out cone and of the cells in it.
 
-    Input i holds bit s = n - 1 - i of the index.  Below the chunk's top
-    bit its word is the same in every chunk: 2^s zeros, then 2^s ones,
-    a period doubled (``w |= w << p``) until it fills the chunk.  Above
-    it, the word is all zeros or all ones, by bit s of the offset.
+    The fixed inputs are the h = n - 18 whose cones hold the fewest
+    cells, the later-declared first on a tie.  Each net's input-dependency
+    bitmask, built in one pass over the cells, gives the cones.  The
+    outer list keeps the nets that cone cells read.
     """
-    low = min(n_inputs, _CHUNK_LOG2)  # the last inputs, which vary in a chunk
-    size = 1 << low
-    ones = (1 << size) - 1
-    varying = []
-    for s in range(low - 1, -1, -1):
+    n = len(circuit.inputs)
+    deps = [1 << i for i in range(n)] + [0] * (circuit.num_nets - n)
+    for cell in circuit.cells:
+        for net in cell.ins:
+            deps[cell.out] |= deps[net]
+    reach = [deps[cell.out] for cell in circuit.cells]
+    size = [sum(d >> i & 1 for d in reach) for i in range(n)]
+    fixed = sorted(sorted(range(n), key=lambda i: (size[i], -i))[: n - _CHUNK_LOG2])
+    mask = sum(1 << i for i in fixed)
+    cone = [cell for cell, d in zip(circuit.cells, reach) if d & mask]
+    outer = [cell for cell, d in zip(circuit.cells, reach) if not d & mask]
+    read = {net for cell in cone for net in cell.ins}
+    keep = set(circuit.output_nets)
+    return fixed, _compile(outer, keep | read), _compile(cone, keep)
+
+
+def _sweep(circuit: Circuit) -> tuple[Iterator[tuple[int, int, list]], Callable, Callable]:
+    """The exhaustive sweep as (chunks, run, spread).
+
+    ``chunks`` yields (lowest index, all-ones word, input words) in
+    ascending order of the lowest index, ``run(words, ones)`` is a
+    chunk's engine pass and gives its output words, and bit b of a
+    chunk's words is vector ``lowest index + spread(b)``.
+
+    Up to 18 inputs the sweep is one chunk through :func:`_run`.  Above,
+    :func:`_plan`'s h fixed inputs hold all-0 or all-1 words in each of
+    2^h chunks, taken in lexicographic order of their values.  The other
+    inputs vary in every chunk, in declared order: the one at bit s of b
+    holds 2^s zeros, then 2^s ones, a period doubled (``w |= w << p``)
+    until it fills the chunk.  The cells outside the cone read no fixed
+    input, so they run once, here, and the nets the cone reads stay alive
+    across chunks; a chunk's pass runs the cone alone.
+    """
+    n = len(circuit.inputs)
+    fixed, outer, cone = [], (), ()
+    if n > _CHUNK_LOG2:
+        fixed, outer, cone = _cached(circuit, "_plan", _plan)
+    varying = [i for i in range(n) if i not in fixed]
+    h, m = len(fixed), len(varying)
+    ones = (1 << (1 << m)) - 1
+    words = [0] * n
+    for s, i in zip(range(m - 1, -1, -1), varying):
         word, period = ((1 << (1 << s)) - 1) << (1 << s), 2 << s
-        while period < size:
+        while period < 1 << m:
             word |= word << period
             period <<= 1
-        varying.append(word)
-    for offset in range(0, 1 << n_inputs, size):
-        high = [ones if offset >> s & 1 else 0 for s in range(n_inputs - 1, low - 1, -1)]
-        yield offset, ones, high + varying
+        words[i] = word
+    if not fixed:
+        run = functools.partial(_run, circuit)
+    else:
+        base = words + [None] * (circuit.num_nets - n)
+        _exec(outer, base, ones, ())
+
+        def run(words: list[int], ones: int) -> list[int]:
+            return _exec(cone, words + base[n:], ones, circuit.output_nets)
+
+    def chunks() -> Iterator[tuple[int, int, list[int]]]:
+        for c in range(1 << h):
+            low = 0
+            for k, i in enumerate(fixed):
+                bit = c >> (h - 1 - k) & 1
+                words[i] = ones if bit else 0
+                low |= bit << (n - 1 - i)
+            yield low, ones, list(words)
+
+    def spread(b: int) -> int:
+        return sum((b >> (m - 1 - j) & 1) << (n - 1 - i) for j, i in enumerate(varying))
+
+    return chunks(), run, spread
 
 
 def vector_at(circuit: Circuit, index: int) -> dict[str, int]:

@@ -17,19 +17,24 @@ tests pin the equality.
 
 Every mode runs the one engine, the circuit's op list on Python-int
 words (see simulate), chunk by chunk through one loop that checks each
-chunk's words with the oracle's ``check`` and stops at the first
-failing chunk.  An exhaustive chunk holds 2^18 vectors and needs no
-numpy.  A random chunk draws at most ``RANDOM_CHUNK_BYTES`` raw bytes
-(inputs x rows) and holds at most ``RANDOM_CHUNK_ROWS`` rows, structured
+chunk's words with the oracle's ``check``.  Chunks come in ascending
+order of their lowest index, and the loop stops at the first chunk
+whose lowest index is above the lowest failure found.  An exhaustive
+chunk holds 2^18 vectors and needs no numpy.  Above 18 inputs each
+chunk fixes the inputs with the smallest fan-out cones (see simulate),
+so chunks interleave in index order, and a failing sweep may run chunks
+past its first failing one, though never more than a passing sweep.  A
+random chunk draws at most ``RANDOM_CHUNK_BYTES`` raw bytes (inputs x
+rows) and holds at most ``RANDOM_CHUNK_ROWS`` rows, structured
 rows included, so a run's memory follows one chunk and its run time
 follows ``count``.  Its rows, structured or drawn, are packed 8 inputs
 a byte by one ``np.packbits`` a piece, then turned into the input words
 in 8x8 bit tiles, so no byte per stimulus bit is held.
 
-Failures report the first counterexample in scan order, the lowest set
-bit of the first failing chunk's fail word; for exhaustive mode that is
-the lexicographically first failing input tuple, because enumeration
-order is lexicographic (see simulate).
+Failures report the lowest-indexed failing vector.  Random chunks are
+contiguous, so that is the lowest fail bit of the first failing chunk.
+In exhaustive mode it is the lexicographically first failing input
+tuple, because enumeration order is lexicographic (see simulate).
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequenc
 
 from .core import SCHEMA_VERSION, Circuit, NetlistError
 from .generators import COMPRESSOR_INPUTS, REGISTRY
-from .simulate import _CHUNK_LOG2, _exhaustive_chunks, _run, vector_at
+from .simulate import _CHUNK_LOG2, _run, _sweep, vector_at
 
 if TYPE_CHECKING:
     import numpy as np
@@ -289,8 +294,8 @@ class VerificationReport:
 
     ``vectors_tried`` is the size of the scheduled scan: 2^n for an
     exhaustive run, structured plus random rows for a random one, 512
-    for cin-independence.  A failing run stops at its first failing
-    chunk, so fewer vectors may have been simulated.
+    for cin-independence.  A failing run stops once no later chunk can
+    hold a lower failure, so fewer vectors may have been simulated.
     """
 
     block: str
@@ -339,28 +344,40 @@ def _counterexample(oracle: Oracle, index: int, vec: dict, out: dict) -> dict:
 
 
 def _first_failure(
-    circuit: Circuit, oracle: Oracle, chunks: Iterable[tuple[int, int, list[int]]]
+    circuit: Circuit,
+    oracle: Oracle,
+    chunks: Iterable[tuple[int, int, list[int]]],
+    run: Callable[[list[int], int], list[int]],
+    spread: Callable[[int], int],
 ) -> dict | None:
-    """The counterexample at the first vector that fails the oracle, or
-    None when all pass.
+    """The counterexample at the lowest-indexed vector that fails the
+    oracle, or None when all pass.
 
-    ``chunks`` yields (offset, all-ones word, input words) in scan order,
-    as :func:`~gatelab.simulate._exhaustive_chunks` and
-    :func:`_random_chunks` do.  Each chunk is one engine pass, run when
-    the loop reaches it, so the loop's return leaves every later chunk
-    unsimulated.  A failure at bit ``local`` of a chunk's fail word is
-    vector ``offset + local``.
+    ``chunks`` yields (lowest index, all-ones word, input words) in
+    ascending order of the lowest index, as :func:`_random_chunks` and
+    :func:`~gatelab.simulate._sweep` do; ``run(words, ones)`` is a
+    chunk's engine pass, and bit b of a chunk is vector ``lowest index +
+    spread(b)``, with ``spread`` increasing.  So a chunk's lowest fail
+    bit is its lowest failing index.  The loop stops at the first chunk
+    whose lowest index is above the best failure found, leaving it and
+    every later chunk unsimulated.  Random chunks are contiguous, so
+    that is the one after the first failing chunk.
     """
-    for offset, ones, words in chunks:
+    best = None
+    for low, ones, words in chunks:
+        if best is not None and low > best["index"]:
+            break
         ins = dict(zip(circuit.inputs, words))
-        outs = dict(zip(circuit.outputs, _run(circuit, words, ones)))
+        outs = dict(zip(circuit.outputs, run(words, ones)))
         fail = oracle.check(ins, outs) & ones
         if fail:
             local = (fail & -fail).bit_length() - 1
-            vec = {port: word >> local & 1 for port, word in ins.items()}
-            out = {port: word >> local & 1 for port, word in outs.items()}
-            return _counterexample(oracle, offset + local, vec, out)
-    return None
+            index = low + spread(local)
+            if best is None or index < best["index"]:
+                vec = {port: word >> local & 1 for port, word in ins.items()}
+                out = {port: word >> local & 1 for port, word in outs.items()}
+                best = _counterexample(oracle, index, vec, out)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +393,7 @@ def verify_exhaustive(circuit: Circuit) -> VerificationReport:
             f"{EXHAUSTIVE_INPUT_BOUND}. Use random mode with a seed instead."
         )
     orc = resolve_oracle(circuit)
-    failure = _first_failure(circuit, orc, _exhaustive_chunks(n))
+    failure = _first_failure(circuit, orc, *_sweep(circuit))
     return _report(
         circuit, failure, oracle=orc.name, mode="exhaustive", vectors_tried=1 << n
     )
@@ -528,8 +545,9 @@ def _random_chunks(
                 np.greater(drawn[: rows * n].reshape(rows, n), 127, out=bits[:rows, :n])
             piece = np.packbits(bits[:rows], axis=None, bitorder="little")
             chunk[:, row - start : end - start] = piece.reshape(rows, width).T
-        columns = _transpose_bits(chunk)[:n]
-        yield start, (1 << size) - 1, [int.from_bytes(c, "little") for c in columns]
+        # the transposed copy is freed here, not held while the words run
+        words = [int.from_bytes(c, "little") for c in _transpose_bits(chunk)[:n]]
+        yield start, (1 << size) - 1, words
         start = stop
 
 
@@ -555,7 +573,9 @@ def verify_random(
             raise NetlistError(f"{name} must be a non-negative int, got {value!r}")
     orc = resolve_oracle(circuit)
     head, _ = _suite(circuit)
-    failure = _first_failure(circuit, orc, _random_chunks(circuit, seed, count))
+    chunks = _random_chunks(circuit, seed, count)
+    run = functools.partial(_run, circuit)
+    failure = _first_failure(circuit, orc, chunks, run, lambda b: b)
     return _report(
         circuit,
         failure,
@@ -586,8 +606,9 @@ def verify_cout_independence(circuit: Circuit) -> VerificationReport:
             f"{circuit.name} needs the compressor ports: inputs exactly "
             f"{list(COMPRESSOR_INPUTS)} in that order, and outputs Co1 and Co2"
         )
-    ((_, ones, words),) = _exhaustive_chunks(len(COMPRESSOR_INPUTS))
-    outs = dict(zip(circuit.outputs, _run(circuit, words, ones)))
+    chunks, run, _ = _sweep(circuit)
+    ((_, ones, words),) = chunks
+    outs = dict(zip(circuit.outputs, run(words, ones)))
     lane0 = ones // 15  # bit 4x for every x-vector x
     failure = None
     for port in ("Co1", "Co2"):

@@ -31,6 +31,7 @@ from gatelab.simulate import (
     exhaustive_columns,
     vector_at,
 )
+from gatelab.verify import verify_exhaustive
 
 # ---------------------------------------------------------------------------
 # reference evaluator: the gate basis by its own truth tables, one vector at
@@ -157,20 +158,35 @@ def test_op_list_is_compiled_once_per_circuit(monkeypatch):
     compiled = []
     compile_ = simulate._compile
     monkeypatch.setattr(
-        simulate, "_compile", lambda c: compiled.append(c) or compile_(c)
+        simulate,
+        "_compile",
+        lambda cells, keep: compiled.append(cells) or compile_(cells, keep),
     )
     c = kogge_stone(width=4)
     cols = dict(zip(c.inputs, exhaustive_columns(len(c.inputs))))
     first = evaluate_batch(c, cols)
     second = evaluate_batch(c, cols)
     evaluate(c, {p: 1 for p in c.inputs})
-    assert len(compiled) == 1 and compiled[0] is c
+    assert len(compiled) == 1 and compiled[0] is c.cells
     assert all(np.array_equal(first[p], second[p]) for p in c.outputs)
     # a copy that pickling made compiles its own, and evaluates alike
     copy = pickle.loads(pickle.dumps(c))
     assert copy == c and repr(copy) == repr(c)
     assert all(np.array_equal(evaluate_batch(copy, cols)[p], first[p]) for p in c.outputs)
-    assert len(compiled) == 2 and compiled[1] is copy
+    assert len(compiled) == 2 and compiled[1] is copy.cells
+
+
+def test_a_swept_circuit_pickles_without_its_op_lists():
+    # kogge_stone(width=9) has 19 inputs, so its sweep fixes one per chunk
+    # and keeps that plan on the circuit next to the op list; pickling
+    # drops both, and the copy sweeps alike
+    c = kogge_stone(width=9)
+    report = verify_exhaustive(c)
+    evaluate(c, {p: 1 for p in c.inputs})
+    assert {"_ops", "_plan"} <= vars(c).keys()
+    copy = pickle.loads(pickle.dumps(c))
+    assert copy == c and not [k for k in vars(copy) if k.startswith("_")]
+    assert verify_exhaustive(copy) == report and report.ok
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
@@ -279,23 +295,32 @@ def unpack(words, count):
     return np.unpackbits(packed, axis=1, count=count, bitorder="little")
 
 
-# 1-17 fill part of one chunk and 18 fills one; 19 and 20 take several.
-# An inversion sets every bit of the all-ones word, so no output may
-# show a bit past the chunk's last vector.
+# 1-17 fill part of one chunk and 18 fills one.  19 and 20 take two and
+# four, fixing their last one or two inputs: every cone is one inverter,
+# and a tie takes the later input.  An inversion sets every bit of the
+# all-ones word, so no output may show a bit past the chunk's last vector.
 @pytest.mark.parametrize("n", [*range(1, 9), *range(15, 21)])
 def test_exhaustive_slices_are_the_simulated_enumeration(n):
     circuit = inverter_block(n)
-    offsets, ins, outs = [], [], []
-    for offset, ones, words in simulate._exhaustive_chunks(n):
-        count = ones.bit_length()
-        assert ones == (1 << count) - 1
-        offsets.append(offset)
-        ins.append(unpack(words, count))
-        outs.append(unpack(simulate._run(circuit, words, ones), count))
-    assert offsets == list(range(0, 1 << n, 1 << min(n, 18)))
     whole = np.stack(exhaustive_columns(n))
-    assert np.array_equal(np.concatenate(ins, axis=1), whole)
-    assert np.array_equal(np.concatenate(outs, axis=1), 1 - whole)
+    chunks, run, spread = simulate._sweep(circuit)
+    lows, indices = [], []
+    for low, ones, words in chunks:
+        count = ones.bit_length()
+        assert ones == (1 << count) - 1 and count == 1 << min(n, 18)
+        # bit b of the chunk is vector low + spread(b), spread adding one
+        # weight per set bit of b
+        weights = [spread(1 << s) for s in range(count.bit_length() - 1)]
+        b = np.arange(count)
+        for sample in (1, count // 3, count - 1):
+            assert spread(sample) == sum(w for s, w in enumerate(weights) if sample >> s & 1)
+        index = low + sum((b >> s & 1) * w for s, w in enumerate(weights))
+        assert np.array_equal(unpack(words, count), whole[:, index])
+        assert np.array_equal(unpack(run(words, ones), count), 1 - whole[:, index])
+        lows.append(low)
+        indices.append(index)
+    assert lows == list(range(1 << max(0, n - 18)))
+    assert np.array_equal(np.sort(np.concatenate(indices)), np.arange(1 << n))
 
 
 def test_vector_at_is_a_row_of_the_enumeration():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import tracemalloc
 
@@ -70,10 +71,16 @@ def bits(word, count):
     return [v for v in range(count) if word >> v & 1]
 
 
+@functools.lru_cache(maxsize=2)
+def whole_space(n):
+    """The input words of all 2^n vectors in enumeration order."""
+    return _pack(exhaustive_columns(n))
+
+
 def single_shot(circuit, broken):
     """The fail word of ``broken``'s whole input space in one engine
     pass, checked against the oracle of ``circuit``."""
-    words = _pack(exhaustive_columns(len(circuit.inputs)))
+    words = whole_space(len(circuit.inputs))
     ones = (1 << (1 << len(circuit.inputs))) - 1
     ins = dict(zip(circuit.inputs, words))
     outs = dict(zip(circuit.outputs, _run(broken, words, ones)))
@@ -238,7 +245,7 @@ def test_word_check_fails_where_explain_rejects(spec, rows):
     circuit = build_block(spec)
     oracle = resolve_oracle(circuit)
     if rows is None:
-        chunks = simulate._exhaustive_chunks(len(circuit.inputs))
+        chunks, _, _ = simulate._sweep(circuit)
     else:
         chunks = verify._random_chunks(circuit, 0, rows)
     _, ones, words = next(chunks)
@@ -279,23 +286,100 @@ def counting_engine(monkeypatch):
     return calls
 
 
+def recording_passes(monkeypatch):
+    """A list that grows by the op list of each engine pass."""
+    passes = []
+    exec_ = simulate._exec
+
+    def recording(ops, *args):
+        passes.append(ops)
+        return exec_(ops, *args)
+
+    monkeypatch.setattr(simulate, "_exec", recording)
+    return passes
+
+
 def test_exhaustive_stops_at_its_first_failing_chunk(monkeypatch):
-    # kogge_stone(width=9) has 19 inputs, so the sweep takes two chunks
-    # of 2^18 vectors.  n20, the AND(a0, b0) inside p0_0's XOR,
-    # turned into an OR makes p0_0 = 0, wrong first at b0 = 1 alone,
-    # index 2^9, in the first chunk; the second is never simulated.
-    adder = build_block(BlockSpec("kogge_stone", {"width": 9}))
-    calls = counting_engine(monkeypatch)
-    report = verify_exhaustive(with_kind(adder, "n20", GateKind.OR2))
-    assert calls == [1 << 18]
+    # kogge_stone(width=9) has 19 inputs.  With s0 flipped where cin = 1,
+    # the sweep fixes b8, whose cone is the smallest, in two chunks: b8 =
+    # 0 from index 0, then b8 = 1 from index 2.  The first fails at index
+    # 1, below 2, so the second is never simulated: the cells outside the
+    # cone run once and the cone once.
+    broken = flipped_where(build_block(BlockSpec("kogge_stone", {"width": 9})), ("cin",))
+    fixed, outer, cone = simulate._plan(broken)
+    assert [broken.inputs[i] for i in fixed] == ["b8"]
+    passes = recording_passes(monkeypatch)
+    report = verify_exhaustive(broken)
+    assert passes == [outer, cone]
     assert report.status == "fail"
     assert report.vectors_tried == 1 << 19
     assert report.counterexample == {
-        "index": 512,
-        "vector": {p: int(p == "b0") for p in adder.inputs},
+        "index": 1,
+        "vector": {p: int(p == "cin") for p in broken.inputs},
         "expected": {"a + b + cin": 1},
         "actual": {"s + 2^w*cout": 0},
     }
+
+
+def test_exhaustive_reports_a_lower_index_from_a_later_chunk(monkeypatch):
+    # kogge_stone(width=9) with g0_8 = AND(a8, b8) turned into an OR is
+    # wrong where exactly one of a8 and b8 is 1.  The first chunk, b8 = 0,
+    # fails first at a8 = 1 alone, index 2^10; the second, b8 = 1, at b8 =
+    # 1 alone, index 2, which is the one reported.  Both chunks run.
+    adder = build_block(BlockSpec("kogge_stone", {"width": 9}))
+    broken = with_kind(adder, "g0_8", GateKind.OR2)
+    fixed, outer, cone = simulate._plan(broken)
+    assert [broken.inputs[i] for i in fixed] == ["b8"]
+    fail = single_shot(adder, broken)
+    assert fail & -fail == 1 << 2
+    assert min(v for v in bits(fail, 1 << 11) if not v & 2) == 1 << 10  # b8 = 0
+    passes = recording_passes(monkeypatch)
+    report = verify_exhaustive(broken)
+    assert passes == [outer, cone, cone]
+    assert report.counterexample == {
+        "index": 2,
+        "vector": {p: int(p == "b8") for p in broken.inputs},
+        "expected": {"a + b + cin": 256},
+        "actual": {"s + 2^w*cout": 768},
+    }
+
+
+def test_the_sweep_of_kogge_stone_11_fixes_its_top_bits():
+    # 23 inputs, so 5 are fixed in each of 32 chunks: the ones whose cones
+    # reach the fewest cells
+    adder = build_block(BlockSpec("kogge_stone", {"width": 11}))
+    fixed, outer, cone = simulate._plan(adder)
+    assert [adder.inputs[i] for i in fixed] == ["a9", "a10", "b8", "b9", "b10"]
+    assert (len(outer), len(cone)) == (139, 69)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        BlockSpec("kogge_stone", {"width": 9}),
+        BlockSpec("kogge_stone", {"width": 10}),
+        BlockSpec("pipeline", {"cols": 3}),
+    ],
+    ids=BlockSpec.label,
+)
+def test_every_mutant_sweep_reports_the_single_shot_vector(spec):
+    # Blocks of 19, 21 and 21 inputs, swept in 2, 8 and 8 chunks with
+    # their fixed inputs interleaved in index order: for the block and
+    # each single-cell AND<->OR / NAND<->NOR swap, the report names the
+    # lowest fail bit of one engine pass over the whole input space.
+    circuit = build_block(spec)
+    assert len(circuit.inputs) > 18
+    failures = 0
+    for mutant in [circuit, *mutants(circuit)]:
+        fail = single_shot(circuit, mutant)
+        report = verify_exhaustive(mutant)
+        assert report.ok == (fail == 0)
+        if fail:
+            index = (fail & -fail).bit_length() - 1
+            assert report.counterexample["index"] == index
+            assert report.counterexample["vector"] == vector_at(circuit, index)
+            failures += 1
+    assert failures
 
 
 def flipped_where(adder, ports, flipped="s0"):
@@ -315,11 +399,11 @@ def flipped_where(adder, ports, flipped="s0"):
     "make, index",
     [
         # a1 = a2 = b0 = 1 first at index 3 * 2^16 + 2^9, in the fourth
-        # quarter of the first 2^18-vector chunk
+        # 2^16-vector slice of the index space and the first chunk (b8 = 0)
         (lambda adder: flipped_where(adder, ("a1", "a2", "b0")), 3 * 2**16 + 2**9),
-        # n20 turned into a NOR makes p0_0 = a0 | b0, wrong first at
-        # a0 = b0 = 1, index 2^18 + 2^9, in the second chunk
-        (lambda adder: with_kind(adder, "n20", GateKind.NOR2), 2**18 + 2**9),
+        # g0_8 = AND(a8, b8) turned into an OR is wrong first at b8 = 1
+        # alone, index 2, the lowest index of the second chunk (b8 = 1)
+        (lambda adder: with_kind(adder, "g0_8", GateKind.OR2), 2),
     ],
     ids=["fourth-slice", "second-engine-chunk"],
 )
@@ -809,7 +893,7 @@ _SMALL = {
 def test_check_agrees_with_explain(oracle):
     name = next(n for n, info in REGISTRY.items() if info.oracle == oracle)
     circuit = build_block(BlockSpec(name, _SMALL.get(name, {})))
-    ((_, ones, words),) = simulate._exhaustive_chunks(len(circuit.inputs))
+    ((_, ones, words),), _, _ = simulate._sweep(circuit)
     ins = dict(zip(circuit.inputs, words))
     rows = ones.bit_length()
     flipped_rows = sum(1 << row for row in range(0, rows, 3))
