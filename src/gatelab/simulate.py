@@ -14,9 +14,9 @@ vector index v assigns input i (in declared order) the bit
 ``(v >> (n - 1 - i)) & 1``, so ascending index is ascending
 lexicographic order over input tuples; :func:`exhaustive_columns` gives
 the inputs in that order as uint8 columns.  An exhaustive sweep
-(:func:`_sweep`) runs in chunks of 2^18 vectors, a word a net.  Up to 18
+(:func:`_sweep`) runs in chunks of 2^17 vectors, a word a net.  Up to 17
 inputs it is one chunk in enumeration order.  Above, each chunk fixes
-the n - 18 inputs whose fan-out cones reach the fewest cells, so the
+the n - 17 inputs whose fan-out cones reach the fewest cells, so the
 cells outside those cones run once a sweep and only the cones run once
 a chunk; a chunk's bits are its vectors in ascending index, and chunks
 come in ascending order of their lowest index.
@@ -194,20 +194,22 @@ def exhaustive_columns(n_inputs: int) -> list[np.ndarray]:
 
 
 # log2 of the vectors in an exhaustive sweep's chunk, one pass of the
-# cone's op list each.  kogge_stone(width=11)'s 2^23 vectors with the
-# word check, in-process on 2 vCPUs: 6.0 ms a sweep at a tracemalloc
-# peak of 2.2 MiB, against 10.0 ms (0.7 MiB) in chunks of 2^16, 6.7 ms
-# (8.4 MiB) in chunks of 2^20 and 30.5 ms (68 MiB) in one chunk of 2^23.
+# cone's op list each.  kogge_stone(width=11)'s 2^23 vectors, with the
+# oracle's steady digits summed once a sweep, in-process on 2 vCPUs
+# (best of 15, and the tracemalloc peak of a sweep): 3.0 ms at 1.0 MiB,
+# against 2.9 ms (2.1 MiB) in chunks of 2^18, 2.35 ms (3.9 MiB) in
+# chunks of 2^19, 3.9 ms (8.1 MiB) in chunks of 2^20 and 9.0 ms (0.8
+# MiB) in chunks of 2^16, where the seventh fixed input's cone is large.
 # Random mode's row cap derives from it.
-_CHUNK_LOG2 = 18
+_CHUNK_LOG2 = 17
 
 
 def _plan(circuit: Circuit) -> tuple[list[int], tuple[tuple, ...], tuple[tuple, ...]]:
-    """The inputs an exhaustive sweep of more than 2^18 vectors fixes in
+    """The inputs an exhaustive sweep of more than 2^17 vectors fixes in
     each chunk, by index in declared order, then the op lists of the
     cells outside their fan-out cone and of the cells in it.
 
-    The fixed inputs are the h = n - 18 whose cones hold the fewest
+    The fixed inputs are the h = n - 17 whose cones hold the fewest
     cells, the later-declared first on a tie.  Each net's input-dependency
     bitmask, built in one pass over the cells, gives the cones.  The
     outer list keeps the nets that cone cells read.
@@ -228,27 +230,39 @@ def _plan(circuit: Circuit) -> tuple[list[int], tuple[tuple, ...], tuple[tuple, 
     return fixed, _compile(outer, keep | read), _compile(cone, keep)
 
 
-def _sweep(circuit: Circuit) -> tuple[Iterator[tuple[int, int, list]], Callable, Callable]:
-    """The exhaustive sweep as (chunks, run, spread).
+def _sweep(
+    circuit: Circuit,
+) -> tuple[Iterator[tuple[int, int, list]], Callable, Callable, tuple[set, set]]:
+    """The exhaustive sweep as (chunks, run, spread, moving).
 
     ``chunks`` yields (lowest index, all-ones word, input words) in
     ascending order of the lowest index, ``run(words, ones)`` is a
-    chunk's engine pass and gives its output words, and bit b of a
-    chunk's words is vector ``lowest index + spread(b)``.
+    chunk's engine pass and gives its output words, bit b of a chunk's
+    words is vector ``lowest index + spread(b)``, and ``moving`` names the
+    input and output ports whose words change from chunk to chunk.
 
-    Up to 18 inputs the sweep is one chunk through :func:`_run`.  Above,
-    :func:`_plan`'s h fixed inputs hold all-0 or all-1 words in each of
-    2^h chunks, taken in lexicographic order of their values.  The other
-    inputs vary in every chunk, in declared order: the one at bit s of b
-    holds 2^s zeros, then 2^s ones, a period doubled (``w |= w << p``)
-    until it fills the chunk.  The cells outside the cone read no fixed
-    input, so they run once, here, and the nets the cone reads stay alive
-    across chunks; a chunk's pass runs the cone alone.
+    Up to 17 inputs the sweep is one chunk through :func:`_run`, and
+    every port counts as moving.  Above, :func:`_plan`'s h fixed inputs
+    hold all-0 or all-1 words in each of 2^h chunks, taken in
+    lexicographic order of their values.  The other inputs vary in every
+    chunk, in declared order: the one at bit s of b holds 2^s zeros, then
+    2^s ones, a period doubled (``w |= w << p``) until it fills the chunk.
+    The cells outside the cone read no fixed input, so they run once,
+    here, and the nets the cone reads stay alive across chunks; a chunk's
+    pass runs the cone alone.  So the moving ports are the fixed inputs
+    and the outputs on a cone cell's net or a fixed input's; the others,
+    the varying inputs and the shared outputs, keep one word a sweep.
     """
     n = len(circuit.inputs)
     fixed, outer, cone = [], (), ()
+    moving = set(circuit.inputs), set(circuit.outputs)
     if n > _CHUNK_LOG2:
         fixed, outer, cone = _cached(circuit, "_plan", _plan)
+        driven = {out for _, _, out, _ in cone}.union(fixed)
+        moving = (
+            {circuit.inputs[i] for i in fixed},
+            {p for p, net in zip(circuit.outputs, circuit.output_nets) if net in driven},
+        )
     varying = [i for i in range(n) if i not in fixed]
     h, m = len(fixed), len(varying)
     ones = (1 << (1 << m)) - 1
@@ -280,7 +294,7 @@ def _sweep(circuit: Circuit) -> tuple[Iterator[tuple[int, int, list]], Callable,
     def spread(b: int) -> int:
         return sum((b >> (m - 1 - j) & 1) << (n - 1 - i) for j, i in enumerate(varying))
 
-    return chunks(), run, spread
+    return chunks(), run, spread, moving
 
 
 def vector_at(circuit: Circuit, index: int) -> dict[str, int]:

@@ -17,19 +17,24 @@ tests pin the equality.
 
 Every mode runs the one engine, the circuit's op list on Python-int
 words (see simulate), chunk by chunk through one loop that checks each
-chunk's words with the oracle's ``check``.  Chunks come in ascending
-order of their lowest index, and the loop stops at the first chunk
-whose lowest index is above the lowest failure found.  An exhaustive
-chunk holds 2^18 vectors and needs no numpy.  Above 18 inputs each
-chunk fixes the inputs with the smallest fan-out cones (see simulate),
-so chunks interleave in index order, and a failing sweep may run chunks
-past its first failing one, though never more than a passing sweep.  A
-random chunk draws at most ``RANDOM_CHUNK_BYTES`` raw bytes (inputs x
-rows) and holds at most ``RANDOM_CHUNK_ROWS`` rows, structured
-rows included, so a run's memory follows one chunk and its run time
-follows ``count``.  Its rows, structured or drawn, are packed 8 inputs
-a byte by one ``np.packbits`` a piece, then turned into the input words
-in 8x8 bit tiles, so no byte per stimulus bit is held.
+chunk's words with a check the oracle builds once a sweep.  Chunks come
+in ascending order of their lowest index, and the loop stops at the
+first chunk whose lowest index is above the lowest failure found.  An
+exhaustive chunk holds 2^17 vectors and needs no numpy.  Above 17
+inputs each chunk fixes the inputs with the smallest fan-out cones (see
+simulate), so chunks interleave in index order, and a failing sweep may
+run chunks past its first failing one, though never more than a passing
+sweep.  The other inputs and the outputs outside those cones keep their
+words in every chunk, so a weighted oracle sums them once a sweep, and
+each chunk sums only the digits that the fixed inputs and their cones'
+outputs can move.  Random chunks and one-chunk sweeps hold no such
+ports, and each chunk sums all of its words.  A random chunk draws at
+most ``RANDOM_CHUNK_BYTES`` raw bytes (inputs x rows) and holds at most
+``RANDOM_CHUNK_ROWS`` rows, structured rows included, so a run's memory
+follows one chunk and its run time follows ``count``.  Its rows,
+structured or drawn, are packed 8 inputs a byte by one ``np.packbits``
+a piece, then turned into the input words in 8x8 bit tiles, so no byte
+per stimulus bit is held.
 
 Failures report the lowest-indexed failing vector.  Random chunks are
 contiguous, so that is the lowest fail bit of the first failing chunk.
@@ -45,7 +50,9 @@ import json
 import operator
 from collections import defaultdict, deque
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import (
+    TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Mapping, Sequence
+)
 
 from .core import SCHEMA_VERSION, Circuit, NetlistError
 from .generators import COMPRESSOR_INPUTS, REGISTRY
@@ -82,11 +89,21 @@ class Oracle:
     pass and returns its fail word, whose bit v is set when vector v
     fails.  Bits past the pass's last vector mean nothing; verification
     masks them off.  ``explain`` takes one vector's 0/1 ints.
+
+    ``_sweep(ins, outs, moving_ins, moving_outs)`` takes the words of a
+    sweep's first chunk and the names of the ports whose words change
+    from chunk to chunk, and returns the check of each chunk's words.
+    What the check needs of the other, steady ports it computes there,
+    once a sweep.  ``check`` is the sweep of one pass, in which every
+    port moves.
     """
 
     name: str
     check: Callable[[Words, Words], int]
     explain: Callable[[Values, Values], tuple[dict, dict]]
+    _sweep: Callable[
+        [Words, Words, Collection[str], Collection[str]], Callable[[Words, Words], int]
+    ]
 
 
 # Port lists whose derived tables (exponent maps, rejected combinations)
@@ -135,7 +152,7 @@ def _per_quantity(name: str, quantities: Callable) -> Oracle:
         rows = rejected(tuple(ins), tuple(outs))
         return functools.reduce(operator.or_, (minterms[k] for k in rows), 0)
 
-    return Oracle(name, check, explain)
+    return Oracle(name, check, explain, lambda ins, outs, moving_ins, moving_outs: check)
 
 
 def _weighted(
@@ -147,48 +164,87 @@ def _weighted(
 ) -> Oracle:
     """The oracle sum(in_p * 2^e_p) == sum(out_p * 2^e_p) over all ports.
 
-    ``check`` writes each side's sum in binary, one word per digit, and
-    fails a vector where any digit differs.
+    The check writes each side's sum in binary, one word per digit, and
+    fails a vector where any digit differs.  A sweep's steady ports, those
+    whose words stay the same in all its chunks, are summed once: their
+    digits below the cut, the lowest weight of any moving port, are the
+    sums' digits in every chunk, so their differences make one fail word.
+    Each chunk sums the steady digits at or above the cut with the moving
+    ports' words, and ORs those digits' differences into that word.
     """
     in_exponents = functools.lru_cache(maxsize=_RESOLVED)(in_exponents)
     out_exponents = functools.lru_cache(maxsize=_RESOLVED)(out_exponents)
 
+    def sweep(
+        ins: Words, outs: Words, moving_ins: Collection[str], moving_outs: Collection[str]
+    ) -> Callable[[Words, Words], int]:
+        sides = (
+            (ins, in_exponents(tuple(ins)), moving_ins),
+            (outs, out_exponents(tuple(outs)), moving_outs),
+        )
+        moves = [
+            {p: e for p, e in exps.items() if p in moving} for _, exps, moving in sides
+        ]
+        cut = min((e for side in moves for e in side.values()), default=float("inf"))
+        steady = [
+            _digits((words[p], e) for p, e in exps.items() if p not in side)
+            for (words, exps, _), side in zip(sides, moves)
+        ]
+        low = _differ(*({e: w for e, w in d.items() if e < cut} for d in steady))
+        high = [[(w, e) for e, w in d.items() if e >= cut] for d in steady]
+
+        def check(ins: Words, outs: Words) -> int:
+            lhs, rhs = (
+                _digits([*terms, *((words[p], e) for p, e in side.items())])
+                for terms, side, words in zip(high, moves, (ins, outs))
+            )
+            return low | _differ(lhs, rhs)
+
+        return check
+
     def check(ins: Words, outs: Words) -> int:
-        lhs = _digits(ins, in_exponents(tuple(ins)))
-        rhs = _digits(outs, out_exponents(tuple(outs)))
-        fail = 0
-        for e in lhs.keys() | rhs.keys():
-            fail |= lhs.get(e, 0) ^ rhs.get(e, 0)
-        return fail
+        return sweep(ins, outs, ins, outs)(ins, outs)
 
     def explain(ins: Values, outs: Values) -> tuple[dict, dict]:
         expected = _total(ins, in_exponents)
         return {in_label: expected}, {out_label: _total(outs, out_exponents)}
 
-    return Oracle(name, check, explain)
+    return Oracle(name, check, explain, sweep)
 
 
-def _digits(words: Words, exponents: dict[str, int]) -> dict[int, int]:
-    """Each vector's sum of its ports' bits times 2^e, as one word per
-    binary digit e: a carry-save tree of full adders over the words of
-    one weight, lowest weight first, each carry going one weight up."""
+def _digits(terms: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """The sum of the (word, e) terms' words times 2^e, each vector's in
+    its bit, as one word per binary digit e: a carry-save tree of full
+    adders over the nonzero words of one weight, lowest weight first, each
+    carry going one weight up.  Non-negative words give non-negative
+    digits."""
     column: defaultdict[int, deque] = defaultdict(deque)
-    for port, e in exponents.items():
-        column[e].append(words[port])
+    for word, e in terms:
+        if word:
+            column[e].append(word)
     digits = {}
     e = min(column, default=0)
     while column:
-        terms = column.pop(e, ())
-        while len(terms) > 1:
-            a, b = terms.popleft(), terms.popleft()
-            c = terms.popleft() if terms else 0  # a half adder on the last two
+        words = column.pop(e, ())
+        while len(words) > 1:
+            a, b = words.popleft(), words.popleft()
+            c = words.popleft() if words else 0  # a half adder on the last two
             half = a ^ b
-            terms.append(half ^ c)
+            words.append(half ^ c)
             column[e + 1].append((a & b) | (half & c))
-        if terms:
-            digits[e] = terms[0]
+        if words:
+            digits[e] = words[0]
         e += 1
     return digits
+
+
+def _differ(lhs: dict[int, int], rhs: dict[int, int]) -> int:
+    """The OR of the two digit maps' differences: bit v is set where
+    vector v's digits differ at some weight."""
+    fail = 0
+    for e in lhs.keys() | rhs.keys():
+        fail |= lhs.get(e, 0) ^ rhs.get(e, 0)
+    return fail
 
 
 def _total(values: Values, exponents: Exponents) -> int:
@@ -349,6 +405,7 @@ def _first_failure(
     chunks: Iterable[tuple[int, int, list[int]]],
     run: Callable[[list[int], int], list[int]],
     spread: Callable[[int], int],
+    moving: tuple[Collection[str], Collection[str]],
 ) -> dict | None:
     """The counterexample at the lowest-indexed vector that fails the
     oracle, or None when all pass.
@@ -362,14 +419,22 @@ def _first_failure(
     whose lowest index is above the best failure found, leaving it and
     every later chunk unsimulated.  Random chunks are contiguous, so
     that is the one after the first failing chunk.
+
+    ``moving`` names the input and output ports whose words change from
+    chunk to chunk.  The oracle's check is built once, on the first
+    chunk, from the words of the others (see ``Oracle``), and checks
+    every chunk.
     """
     best = None
+    check = None
     for low, ones, words in chunks:
         if best is not None and low > best["index"]:
             break
         ins = dict(zip(circuit.inputs, words))
         outs = dict(zip(circuit.outputs, run(words, ones)))
-        fail = oracle.check(ins, outs) & ones
+        if check is None:
+            check = oracle._sweep(ins, outs, *moving)
+        fail = check(ins, outs) & ones
         if fail:
             local = (fail & -fail).bit_length() - 1
             index = low + spread(local)
@@ -448,7 +513,7 @@ RANDOM_BLOCK_ROWS = 512
 # pays one Python pass over the op list, so the byte budget trades memory
 # for time on wide blocks (pipeline(cols=1024), 100k vectors: 0.84 s at
 # 202 MB peak RSS, against 0.74 s at 294 MB with 2^28 bytes).  The row
-# cap, an exhaustive engine pass, binds below 512 inputs, where a chunk's
+# cap, an exhaustive engine pass, binds below 1024 inputs, where a chunk's
 # memory follows its rows (tracemalloc peaks a row: sorter2 5.4 bytes,
 # half_sorter4 8.6, sorting_network4 8.6, traditional_fa 6.0).  Both keep
 # the 224-input array's 100k vectors in one chunk.
@@ -492,6 +557,10 @@ def _transpose_bits(packed: np.ndarray) -> np.ndarray:
         x ^= t
         t <<= shift
         x ^= t
+    # Freed before the copy, so that the copy can reuse its memory: with
+    # both live, the peak RSS of verify_random(pipeline(cols=32)) swung by
+    # 5% with edits to unrelated source.
+    del t
     tiles = x.view(np.uint8).reshape(width, -1, 8).transpose(0, 2, 1)
     return np.ascontiguousarray(tiles).reshape(8 * width, -1)
 
@@ -575,7 +644,8 @@ def verify_random(
     head, _ = _suite(circuit)
     chunks = _random_chunks(circuit, seed, count)
     run = functools.partial(_run, circuit)
-    failure = _first_failure(circuit, orc, chunks, run, lambda b: b)
+    moving = set(circuit.inputs), set(circuit.outputs)  # each chunk's rows are new
+    failure = _first_failure(circuit, orc, chunks, run, lambda b: b, moving)
     return _report(
         circuit,
         failure,
@@ -606,7 +676,7 @@ def verify_cout_independence(circuit: Circuit) -> VerificationReport:
             f"{circuit.name} needs the compressor ports: inputs exactly "
             f"{list(COMPRESSOR_INPUTS)} in that order, and outputs Co1 and Co2"
         )
-    chunks, run, _ = _sweep(circuit)
+    chunks, run, _, _ = _sweep(circuit)
     ((_, ones, words),) = chunks
     outs = dict(zip(circuit.outputs, run(words, ones)))
     lane0 = ones // 15  # bit 4x for every x-vector x

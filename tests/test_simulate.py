@@ -177,7 +177,7 @@ def test_op_list_is_compiled_once_per_circuit(monkeypatch):
 
 
 def test_a_swept_circuit_pickles_without_its_op_lists():
-    # kogge_stone(width=9) has 19 inputs, so its sweep fixes one per chunk
+    # kogge_stone(width=9) has 19 inputs, so its sweep fixes two per chunk
     # and keeps that plan on the circuit next to the op list; pickling
     # drops both, and the copy sweeps alike
     c = kogge_stone(width=9)
@@ -295,19 +295,20 @@ def unpack(words, count):
     return np.unpackbits(packed, axis=1, count=count, bitorder="little")
 
 
-# 1-17 fill part of one chunk and 18 fills one.  19 and 20 take two and
-# four, fixing their last one or two inputs: every cone is one inverter,
-# and a tie takes the later input.  An inversion sets every bit of the
-# all-ones word, so no output may show a bit past the chunk's last vector.
+# 1-16 fill part of one chunk and 17 fills one.  18, 19 and 20 take two,
+# four and eight, fixing their last one, two or three inputs: every cone
+# is one inverter, and a tie takes the later input.  An inversion sets
+# every bit of the all-ones word, so no output may show a bit past the
+# chunk's last vector.
 @pytest.mark.parametrize("n", [*range(1, 9), *range(15, 21)])
 def test_exhaustive_slices_are_the_simulated_enumeration(n):
     circuit = inverter_block(n)
     whole = np.stack(exhaustive_columns(n))
-    chunks, run, spread = simulate._sweep(circuit)
+    chunks, run, spread, _ = simulate._sweep(circuit)
     lows, indices = [], []
     for low, ones, words in chunks:
         count = ones.bit_length()
-        assert ones == (1 << count) - 1 and count == 1 << min(n, 18)
+        assert ones == (1 << count) - 1 and count == 1 << min(n, 17)
         # bit b of the chunk is vector low + spread(b), spread adding one
         # weight per set bit of b
         weights = [spread(1 << s) for s in range(count.bit_length() - 1)]
@@ -319,7 +320,7 @@ def test_exhaustive_slices_are_the_simulated_enumeration(n):
         assert np.array_equal(unpack(run(words, ones), count), 1 - whole[:, index])
         lows.append(low)
         indices.append(index)
-    assert lows == list(range(1 << max(0, n - 18)))
+    assert lows == list(range(1 << max(0, n - 17)))
     assert np.array_equal(np.sort(np.concatenate(indices)), np.arange(1 << n))
 
 

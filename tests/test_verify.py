@@ -161,7 +161,7 @@ def test_exhaustive_refuses_wide_blocks():
 
 
 def test_exhaustive_chunking_matches_single_shot():
-    # kogge_stone(width=8) has 17 inputs, half a 2^18-vector chunk.  n18,
+    # kogge_stone(width=8) has 17 inputs, one 2^17-vector chunk.  n18,
     # the AND(a0, b0) inside p0_0's XOR, turned into a NOR makes p0_0 =
     # a0 | b0: wrong first at a0 = b0 = 1, index 2^16 + 2^8.
     adder = build_block(BlockSpec("kogge_stone", {"width": 8}))
@@ -245,7 +245,7 @@ def test_word_check_fails_where_explain_rejects(spec, rows):
     circuit = build_block(spec)
     oracle = resolve_oracle(circuit)
     if rows is None:
-        chunks, _, _ = simulate._sweep(circuit)
+        chunks, _, _, _ = simulate._sweep(circuit)
     else:
         chunks = verify._random_chunks(circuit, 0, rows)
     _, ones, words = next(chunks)
@@ -301,13 +301,13 @@ def recording_passes(monkeypatch):
 
 def test_exhaustive_stops_at_its_first_failing_chunk(monkeypatch):
     # kogge_stone(width=9) has 19 inputs.  With s0 flipped where cin = 1,
-    # the sweep fixes b8, whose cone is the smallest, in two chunks: b8 =
-    # 0 from index 0, then b8 = 1 from index 2.  The first fails at index
-    # 1, below 2, so the second is never simulated: the cells outside the
-    # cone run once and the cone once.
+    # the sweep fixes a8 and b8, whose cones are the smallest, in four
+    # chunks: a8 = b8 = 0 from index 0, then b8 = 1 from index 2, and so
+    # on.  The first fails at index 1, below 2, so no other is simulated:
+    # the cells outside the cone run once and the cone once.
     broken = flipped_where(build_block(BlockSpec("kogge_stone", {"width": 9})), ("cin",))
     fixed, outer, cone = simulate._plan(broken)
-    assert [broken.inputs[i] for i in fixed] == ["b8"]
+    assert [broken.inputs[i] for i in fixed] == ["a8", "b8"]
     passes = recording_passes(monkeypatch)
     report = verify_exhaustive(broken)
     assert passes == [outer, cone]
@@ -322,17 +322,19 @@ def test_exhaustive_stops_at_its_first_failing_chunk(monkeypatch):
 
 
 def test_exhaustive_reports_a_lower_index_from_a_later_chunk(monkeypatch):
-    # kogge_stone(width=9) with g0_8 = AND(a8, b8) turned into an OR is
-    # wrong where exactly one of a8 and b8 is 1.  The first chunk, b8 = 0,
-    # fails first at a8 = 1 alone, index 2^10; the second, b8 = 1, at b8 =
-    # 1 alone, index 2, which is the one reported.  Both chunks run.
+    # kogge_stone(width=9) with s0 flipped where a7 = 1 and again where b8
+    # = 1 is wrong where exactly one of them is 1.  The sweep fixes a8 and
+    # b8.  The first chunk, a8 = b8 = 0, fails first at a7 = 1 alone, index
+    # 2^11; the second, b8 = 1, at b8 = 1 alone, index 2, which is the one
+    # reported.  The third chunk's lowest index, 2^10 (a8 = 1), is above
+    # it, so two chunks run.
     adder = build_block(BlockSpec("kogge_stone", {"width": 9}))
-    broken = with_kind(adder, "g0_8", GateKind.OR2)
+    broken = flipped_where(flipped_where(adder, ("a7",)), ("b8",))
     fixed, outer, cone = simulate._plan(broken)
-    assert [broken.inputs[i] for i in fixed] == ["b8"]
+    assert [broken.inputs[i] for i in fixed] == ["a8", "b8"]
     fail = single_shot(adder, broken)
     assert fail & -fail == 1 << 2
-    assert min(v for v in bits(fail, 1 << 11) if not v & 2) == 1 << 10  # b8 = 0
+    assert min(v for v in bits(fail, 1 << 12) if not v & 2) == 1 << 11  # b8 = 0
     passes = recording_passes(monkeypatch)
     report = verify_exhaustive(broken)
     assert passes == [outer, cone, cone]
@@ -340,16 +342,16 @@ def test_exhaustive_reports_a_lower_index_from_a_later_chunk(monkeypatch):
         "index": 2,
         "vector": {p: int(p == "b8") for p in broken.inputs},
         "expected": {"a + b + cin": 256},
-        "actual": {"s + 2^w*cout": 768},
+        "actual": {"s + 2^w*cout": 257},
     }
 
 
 def test_the_sweep_of_kogge_stone_11_fixes_its_top_bits():
-    # 23 inputs, so 5 are fixed in each of 32 chunks: the ones whose cones
+    # 23 inputs, so 6 are fixed in each of 64 chunks: the ones whose cones
     # reach the fewest cells
     adder = build_block(BlockSpec("kogge_stone", {"width": 11}))
     fixed, outer, cone = simulate._plan(adder)
-    assert [adder.inputs[i] for i in fixed] == ["a9", "a10", "b8", "b9", "b10"]
+    assert [adder.inputs[i] for i in fixed] == ["a8", "a9", "a10", "b8", "b9", "b10"]
     assert (len(outer), len(cone)) == (139, 69)
 
 
@@ -359,16 +361,19 @@ def test_the_sweep_of_kogge_stone_11_fixes_its_top_bits():
         BlockSpec("kogge_stone", {"width": 9}),
         BlockSpec("kogge_stone", {"width": 10}),
         BlockSpec("pipeline", {"cols": 3}),
+        BlockSpec("array_reducer", {"cols": 3}),
     ],
     ids=BlockSpec.label,
 )
 def test_every_mutant_sweep_reports_the_single_shot_vector(spec):
-    # Blocks of 19, 21 and 21 inputs, swept in 2, 8 and 8 chunks with
-    # their fixed inputs interleaved in index order: for the block and
-    # each single-cell AND<->OR / NAND<->NOR swap, the report names the
-    # lowest fail bit of one engine pass over the whole input space.
+    # Blocks of 19, 21, 21 and 21 inputs, swept in 4, 16, 16 and 16 chunks
+    # with their fixed inputs interleaved in index order: for the block
+    # and each single-cell AND<->OR / NAND<->NOR swap, the report names
+    # the lowest fail bit of one engine pass over the whole input space.
+    # The array reducer's output columns carry (y<c> sits one weight up),
+    # and a fixed input of weight 0 puts its sweep's cut at 0.
     circuit = build_block(spec)
-    assert len(circuit.inputs) > 18
+    assert len(circuit.inputs) > 17  # a planned sweep
     failures = 0
     for mutant in [circuit, *mutants(circuit)]:
         fail = single_shot(circuit, mutant)
@@ -380,6 +385,122 @@ def test_every_mutant_sweep_reports_the_single_shot_vector(spec):
             assert report.counterexample["vector"] == vector_at(circuit, index)
             failures += 1
     assert failures
+
+
+def chunk_checks(circuit):
+    """(per-sweep fail word, whole-word fail word) of each chunk of the
+    exhaustive sweep of ``circuit``: the check the oracle builds on the
+    first chunk from the words of its steady ports, and its ``check`` on
+    the chunk's words, both masked to the chunk."""
+    oracle = resolve_oracle(circuit)
+    chunks, run, _, moving = simulate._sweep(circuit)
+    check = None
+    for _, ones, words in chunks:
+        ins = dict(zip(circuit.inputs, words))
+        outs = dict(zip(circuit.outputs, run(words, ones)))
+        check = check or oracle._sweep(ins, outs, *moving)
+        yield check(ins, outs) & ones, oracle.check(ins, outs) & ones
+
+
+def adder_mutants(adder):
+    # s0 flipped where cin = 1 fails only below the cut: s0 is a steady
+    # output of weight 0 and the cut, the lowest fixed input's weight, is
+    # 8.  g0_8 turned into an OR fails above it: it moves the carry into
+    # weight 9.  cout wired straight to b8, a fixed input, moves from chunk
+    # to chunk though no cone cell drives it.
+    b = CircuitBuilder(adder.name, adder.inputs)
+    outs = b.instantiate(adder, {p: b.input(p) for p in adder.inputs})
+    for port, ref in outs.items():
+        b.set_output(port, b.input("b8") if port == "cout" else ref)
+    return [
+        flipped_where(adder, ("cin",)),
+        with_kind(adder, "g0_8", GateKind.OR2),
+        b.seal(),
+    ]
+
+
+def top_flipped(circuit, port):
+    # ``port`` flipped where the first input is 1
+    return flipped_where(circuit, circuit.inputs[:1], port)
+
+
+@pytest.mark.parametrize(
+    "spec, make",
+    [
+        *((BlockSpec("kogge_stone", {"width": w}), adder_mutants) for w in (9, 10, 11)),
+        # a fixed input of weight 0 puts the cut at 0, so nothing fails
+        # below it; the top output flipped fails above it
+        (BlockSpec("pipeline", {"cols": 3}), lambda c: [top_flipped(c, "s5")]),
+        (BlockSpec("array_reducer", {"cols": 3}), lambda c: [top_flipped(c, "y3")]),
+    ],
+    ids=lambda v: v.label() if isinstance(v, BlockSpec) else "mutants",
+)
+def test_the_per_sweep_check_is_the_whole_word_check(spec, make):
+    # On every chunk, of the block and of mutants that fail above and
+    # only below the cut, the check built once a sweep fails exactly the
+    # vectors that the oracle's check of the chunk's whole words fails.
+    circuit = build_block(spec)
+    assert len(circuit.inputs) > 17  # a planned sweep
+    for broken in [circuit, *make(circuit)]:
+        failed = False
+        for sweep, whole in chunk_checks(broken):
+            assert sweep == whole
+            failed |= whole != 0
+        assert failed == (broken is not circuit)
+
+
+def recording_digits(monkeypatch):
+    """A list that grows by the terms of each ``_digits`` call, then its
+    digits."""
+    calls = []
+    digits = verify._digits
+
+    def recording(terms):
+        terms = list(terms)
+        result = digits(terms)
+        calls.append((terms, result))
+        return result
+
+    monkeypatch.setattr(verify, "_digits", recording)
+    return calls
+
+
+def test_the_varying_inputs_are_summed_once_a_sweep(monkeypatch):
+    # kogge_stone(width=11) passes in 64 chunks.  The carry-save tree of
+    # its 17 varying inputs runs once, and so does that of its 8 shared
+    # outputs s0..s7; each chunk then sums only the steady digits at or
+    # above the cut (8 on the input side, none on the output side) with
+    # the 6 fixed inputs and the 4 cone-driven outputs.
+    adder = build_block(BlockSpec("kogge_stone", {"width": 11}))
+    chunks, _, _, (fixed, _) = simulate._sweep(adder)
+    _, _, words = next(chunks)
+    varying = {w for p, w in zip(adder.inputs, words) if p not in fixed}
+    calls = recording_digits(monkeypatch)
+    assert verify_exhaustive(adder).ok
+    assert [len(terms) for terms, _ in calls] == [17, 8] + [1 + 6, 4] * 64
+    reading = [k for k, (terms, _) in enumerate(calls) if varying & {w for w, _ in terms}]
+    assert reading == [0] and len(varying) == 17
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        BlockSpec("kogge_stone", {"width": 11}),
+        BlockSpec("pipeline", {"cols": 3}),
+        BlockSpec("array_reducer", {"cols": 3}),
+    ],
+    ids=BlockSpec.label,
+)
+def test_every_digit_word_is_non_negative(monkeypatch, spec):
+    # Python's bitwise ops run slower on negative big ints, so the words
+    # a sweep's checks sum and the digits they build stay non-negative:
+    # a fixed input is 0 or the all-ones word, never -1.
+    circuit = build_block(spec)
+    calls = recording_digits(monkeypatch)
+    assert verify_exhaustive(circuit).ok
+    summed = [w for terms, _ in calls for w, _ in terms]
+    built = [w for _, digits in calls for w in digits.values()]
+    assert summed and built and min(summed + built) >= 0
 
 
 def flipped_where(adder, ports, flipped="s0"):
@@ -399,7 +520,8 @@ def flipped_where(adder, ports, flipped="s0"):
     "make, index",
     [
         # a1 = a2 = b0 = 1 first at index 3 * 2^16 + 2^9, in the fourth
-        # 2^16-vector slice of the index space and the first chunk (b8 = 0)
+        # 2^16-vector slice of the index space and the first chunk (a8 =
+        # b8 = 0)
         (lambda adder: flipped_where(adder, ("a1", "a2", "b0")), 3 * 2**16 + 2**9),
         # g0_8 = AND(a8, b8) turned into an OR is wrong first at b8 = 1
         # alone, index 2, the lowest index of the second chunk (b8 = 1)
@@ -642,7 +764,7 @@ def test_narrow_random_chunks_stop_at_the_row_cap(monkeypatch):
         tracemalloc.stop()
     assert report.ok
     # The 4 structured rows count against the first chunk's rows, whose
-    # draw then ends on a multiple of 8: 2^18 - 8 drawn rows.
+    # draw then ends on a multiple of 8: 2^17 - 8 drawn rows.
     assert calls == [RANDOM_CHUNK_ROWS - 4, RANDOM_CHUNK_ROWS, 9]
     # The packed stimulus, its tile transpose, a piece's padded bools,
     # the engine's and the word check's words peak at about 5.4 bytes a
@@ -893,7 +1015,7 @@ _SMALL = {
 def test_check_agrees_with_explain(oracle):
     name = next(n for n, info in REGISTRY.items() if info.oracle == oracle)
     circuit = build_block(BlockSpec(name, _SMALL.get(name, {})))
-    ((_, ones, words),), _, _ = simulate._sweep(circuit)
+    ((_, ones, words),), _, _, _ = simulate._sweep(circuit)
     ins = dict(zip(circuit.inputs, words))
     rows = ones.bit_length()
     flipped_rows = sum(1 << row for row in range(0, rows, 3))
