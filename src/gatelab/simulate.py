@@ -134,6 +134,22 @@ def _pack(columns: Iterable[np.ndarray]) -> list[int]:
     ]
 
 
+def _unpack(words: Sequence[int], length: int) -> np.ndarray:
+    """The (words, length) uint8 matrix whose row k holds bits 0 to
+    ``length - 1`` of ``words[k]``, read through their little-endian
+    bytes by ``np.unpackbits``."""
+    import numpy as np
+
+    size = -(-length // 8)
+    packed = b"".join(word.to_bytes(size, "little") for word in words)
+    return np.unpackbits(
+        np.frombuffer(packed, np.uint8).reshape(len(words), size),
+        axis=1,
+        count=length,
+        bitorder="little",
+    )
+
+
 def evaluate_batch(
     circuit: Circuit, columns: Mapping[str, np.ndarray]
 ) -> dict[str, np.ndarray]:
@@ -144,20 +160,10 @@ def evaluate_batch(
     the same length.  The columns are packed into words, run through
     the engine and unpacked.
     """
-    import numpy as np
-
     cols = _stimulus(circuit, columns)
     length = len(cols[0])
     outs = _run(circuit, _pack(cols), (1 << length) - 1)
-    size = -(-length // 8)
-    packed = b"".join(word.to_bytes(size, "little") for word in outs)
-    bits = np.unpackbits(
-        np.frombuffer(packed, np.uint8).reshape(len(outs), size),
-        axis=1,
-        count=length,
-        bitorder="little",
-    )
-    return dict(zip(circuit.outputs, bits))
+    return dict(zip(circuit.outputs, _unpack(outs, length)))
 
 
 def evaluate(circuit: Circuit, vector: Mapping[str, int]) -> dict[str, int]:

@@ -10,10 +10,9 @@ statement; the registry names the oracle of each block.
 Exhaustive sweeps cover every input combination up to a hard bound of
 24 inputs; above that, a seeded random mode draws from numpy's
 default_rng (PCG64) after always trying a small structured suite (all
-zeros, all ones, one-hot walk, per-column saturation).  The random
-stream is bit 7 of each byte of PCG64's little-endian raw words, which
-equals ``default_rng(seed).integers(0, 2, (count, n), np.uint8)``;
-tests pin the equality.
+zeros, all ones, one-hot walk, per-column saturation).  Each raw PCG64
+word is one input's word for 64 random rows: row 64k + j of input i is
+bit j of raw word k·n + i; tests pin the words.
 
 Every mode runs the one engine, the circuit's op list on Python-int
 words (see simulate), chunk by chunk through one loop that checks each
@@ -28,13 +27,12 @@ sweep.  The other inputs and the outputs outside those cones keep their
 words in every chunk, so a weighted oracle sums them once a sweep, and
 each chunk sums only the digits that the fixed inputs and their cones'
 outputs can move.  Random chunks and one-chunk sweeps hold no such
-ports, and each chunk sums all of its words.  A random chunk draws at
-most ``RANDOM_CHUNK_BYTES`` raw bytes (inputs x rows) and holds at most
+ports, and each chunk sums all of its words.  A random chunk holds at
+most ``RANDOM_CHUNK_BITS`` stimulus bits (inputs x rows) and at most
 ``RANDOM_CHUNK_ROWS`` rows, structured rows included, so a run's memory
-follows one chunk and its run time follows ``count``.  Its rows,
-structured or drawn, are packed 8 inputs a byte by one ``np.packbits``
-a piece, then turned into the input words in 8x8 bit tiles, so no byte
-per stimulus bit is held.
+follows one chunk and its run time follows ``count``.  The structured
+suite is one word per input, and each drawn input word is read straight
+from its raw words, so no byte per stimulus bit is held.
 
 Failures report the lowest-indexed failing vector.  Random chunks are
 contiguous, so that is the lowest fail bit of the first failing chunk.
@@ -56,7 +54,7 @@ from typing import (
 
 from .core import SCHEMA_VERSION, Circuit, NetlistError
 from .generators import COMPRESSOR_INPUTS, REGISTRY
-from .simulate import _CHUNK_LOG2, _run, _sweep, vector_at
+from .simulate import _CHUNK_LOG2, _run, _sweep, _unpack, vector_at
 
 if TYPE_CHECKING:
     import numpy as np
@@ -464,105 +462,40 @@ def verify_exhaustive(circuit: Circuit) -> VerificationReport:
     )
 
 
-def _suite(circuit: Circuit) -> tuple[int, Callable[[int, int], np.ndarray]]:
-    """The structured suite's row count, and the expression of the row
-    index that gives its rows ``lo`` to ``hi - 1`` as a (hi - lo, inputs)
-    bool array: row 0 sets no input, row 1 sets every input, row 2 + i
-    sets input i, and on array-shaped blocks (``bit_<r>_<c>`` inputs)
-    row 2 + n + k sets every input of the k-th lowest column."""
-    import numpy as np
-
+def _suite(circuit: Circuit) -> tuple[int, list[int]]:
+    """The structured suite's row count, and its rows as one word per
+    input, whose bit r is the input in row r: row 0 sets no input, row 1
+    sets every input, row 2 + i sets input i, and on array-shaped blocks
+    (``bit_<r>_<c>`` inputs) row 2 + n + k sets every input of the k-th
+    lowest column."""
     n = len(circuit.inputs)
     array = all(p.startswith("bit_") for p in circuit.inputs)
     column = list(_COLUMN(circuit.inputs).values()) if array else []
     saturated = {c: 2 + n + k for k, c in enumerate(sorted(set(column)))}
-    # the row that saturates each input's column, or -1 (none) off arrays
-    saturating = np.array([saturated[c] for c in column] or -1)
-
-    def rows(lo: int, hi: int) -> np.ndarray:
-        r = np.arange(lo, hi)[:, None]
-        return (r == 1) | (r == np.arange(2, 2 + n)) | (r == saturating)
-
-    return 2 + n + len(saturated), rows
+    # the bit of the row that saturates each input's column, if any
+    saturating = [1 << saturated[c] for c in column] or [0] * n
+    words = [2 | 1 << (2 + i) | bit for i, bit in enumerate(saturating)]
+    return 2 + n + len(saturated), words
 
 
 def structured_rows(circuit: Circuit) -> np.ndarray:
     """All-zeros, all-ones, the one-hot walk, and for array-shaped
     blocks (``bit_<r>_<c>`` inputs) each fully saturated column, lowest
     first: the (rows, inputs) 0/1 uint8 rows random mode runs first."""
-    import numpy as np
-
-    count, rows = _suite(circuit)
-    return rows(0, count).view(np.uint8)
+    count, words = _suite(circuit)
+    return _unpack(words, count).T
 
 
-# Random rows are drawn in whole blocks of this many rows.  The stream
-# is bit 7 of each byte of PCG64's little-endian raw words, which equals
-# default_rng(seed).integers(0, 2, (count, n), np.uint8): numpy draws
-# each uint8 from one byte of the same words and maps byte b into [0, 2)
-# as (2 * b) >> 8 (tests pin the equality).  A raw word holds 8 values
-# and a draw drops its last word's unused bytes, so the draws continue
-# one stream only when each holds a multiple of 8 values: keep this a
-# multiple of 8.
-RANDOM_BLOCK_ROWS = 512
-
-
-# A random-mode chunk draws at most this many raw bytes, one a stimulus
-# bit (inputs x rows), and holds at most this many rows, structured rows
-# included, in whole blocks of draws, packed one bit each.  Each chunk
-# pays one Python pass over the op list, so the byte budget trades memory
-# for time on wide blocks (pipeline(cols=1024), 100k vectors: 0.84 s at
-# 202 MB peak RSS, against 0.74 s at 294 MB with 2^28 bytes).  The row
-# cap, an exhaustive engine pass, binds below 1024 inputs, where a chunk's
-# memory follows its rows (tracemalloc peaks a row: sorter2 5.4 bytes,
-# half_sorter4 8.6, sorting_network4 8.6, traditional_fa 6.0).  Both keep
-# the 224-input array's 100k vectors in one chunk.
-RANDOM_CHUNK_BYTES = 1 << 27
+# A random-mode chunk holds at most this many stimulus bits (inputs x
+# rows) and at most this many rows, structured rows included.  Each
+# chunk pays one Python pass over the op list, so the bit budget trades
+# memory for time on wide blocks (pipeline(cols=1024), 100k vectors, on
+# 2 vCPUs: 1.5 s at 153 MB peak RSS, against 1.1-1.6 s at 205 MB with
+# 2^28 bits).  The row cap, an exhaustive engine
+# pass, binds below 1024 inputs, where a chunk's memory follows its rows.
+# Both keep the 224-input array's 100k vectors in one chunk.
+RANDOM_CHUNK_BITS = 1 << 27
 RANDOM_CHUNK_ROWS = 1 << _CHUNK_LOG2
-
-# A chunk's rows are packed in pieces of as many whole blocks as fit in
-# this many bools, each row padded to whole bytes of inputs, and at
-# least one, so that a piece stays in cache.  On 2 vCPUs, 100k rows of
-# 14, 56 and 224 inputs went through in 0.79, 2.04 and 8.62 ms at 2^17,
-# within 6% of the best size from 2^15 to 2^19; 2^15 took up to 30% more.
-_DRAW_BYTES = 1 << 17
-# The delta swaps (shift, mask) that transpose the 8x8 bit matrix in a
-# uint64, bit j of byte k to bit k of byte j (Warren, Hacker's Delight,
-# section 7-3, transpose8).
-_TRANSPOSE8 = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0xF0F0F0F0))
-
-
-def _transpose_bits(packed: np.ndarray) -> np.ndarray:
-    """Each column's word of a bit matrix, from its rows packed 8
-    columns a byte; overwrites ``packed``.
-
-    ``packed`` is (b, 8t) uint8: byte (q, r) holds columns 8q to 8q + 7
-    of row r, low bit first, as the transpose of ``np.packbits(bits,
-    axis=1, bitorder="little")`` does.  The result is (8b, t) uint8: bit
-    j of byte (c, s) is column c of row 8s + j, so each row is one
-    column's little-endian word.  The matrix goes through in 8x8 bit
-    tiles, one a uint64 whose byte j is row 8s + j: three delta swaps
-    transpose each tile, and a byte transpose gathers each column's
-    bytes.
-    """
-    import numpy as np
-
-    width = len(packed)
-    x = packed.view("<u8")
-    t = np.empty_like(x)
-    for shift, mask in _TRANSPOSE8:
-        np.right_shift(x, shift, out=t)
-        t ^= x
-        t &= mask
-        x ^= t
-        t <<= shift
-        x ^= t
-    # Freed before the copy, so that the copy can reuse its memory: with
-    # both live, the peak RSS of verify_random(pipeline(cols=32)) swung by
-    # 5% with edits to unrelated source.
-    del t
-    tiles = x.view(np.uint8).reshape(width, -1, 8).transpose(0, 2, 1)
-    return np.ascontiguousarray(tiles).reshape(8 * width, -1)
 
 
 def _random_chunks(
@@ -571,52 +504,41 @@ def _random_chunks(
     """(offset, all-ones word, input words) chunks of the structured
     suite's rows, then ``count`` rows of the seeded random stream.
 
-    A chunk is cut every ``step`` rows of that sequence, so the
-    structured rows count against the budget; a cut inside the random
-    stream moves back to a multiple of 8 drawn rows, so that every draw
-    but the last holds whole raw words.  Each chunk goes through in
-    pieces of at most ``draw`` rows, structured or drawn, whose bools
-    fill a zero-padded (rows, 8 x width) buffer; one flat ``np.packbits``
-    packs it 8 inputs a byte into the chunk's reused (width, rows) uint8
-    matrix, which :func:`_transpose_bits` turns into the inputs' words.
-    So a chunk holds one bit a stimulus bit, and a piece at most
-    ``_DRAW_BYTES`` bools or one block.
+    Random row 64k + j of input i is bit j of raw word k·n + i of
+    ``default_rng(seed)``'s PCG64, so each raw word is one input's word
+    for 64 rows.  A chunk is cut every ``step`` rows of the sequence, so
+    the structured rows count against the budget; a cut inside the draw
+    moves back to a multiple of 64 drawn rows, so that every chunk's draw
+    starts a block and no chunk size moves the stream.  A chunk draws its
+    blocks' n raw words each at once, and each input's word is those of
+    its column, shifted past the chunk's structured rows and OR-ed with
+    their bits.
     """
     import numpy as np
 
     n = len(circuit.inputs)
-    width = -(-n // 8)  # packed bytes a row
-    most = min(RANDOM_CHUNK_BYTES // n, RANDOM_CHUNK_ROWS)  # rows a chunk may hold
-    step = max(1, most // RANDOM_BLOCK_ROWS) * RANDOM_BLOCK_ROWS
+    most = min(RANDOM_CHUNK_BITS // n, RANDOM_CHUNK_ROWS)  # rows a chunk may hold
+    step = max(1, most // 64) * 64
     head, suite = _suite(circuit)  # rows ahead of the draw
     total = head + count
-    draw = max(1, _DRAW_BYTES // (8 * width * RANDOM_BLOCK_ROWS)) * RANDOM_BLOCK_ROWS
-    bits = np.zeros((draw, 8 * width), bool)  # a piece's rows, padded
-    packed = np.empty((width, -(-min(step, total) // 8) * 8), np.uint8)
     raw = np.random.default_rng(seed).bit_generator.random_raw
     start = 0
     while start < total:
         stop = start + step
         if stop > head:
-            stop -= (stop - head) % 8
+            stop -= (stop - head) % 64
         stop = min(stop, total)
-        size = stop - start
-        chunk = packed[:, : -(-size // 8) * 8]
-        chunk[:, size:] = 0  # rows past the chunk's last vector
-        fixed = min(stop, head)  # where the chunk's structured rows end
-        for row in (*range(start, fixed, draw), *range(max(start, head), stop, draw)):
-            end = min(row + draw, fixed if row < head else stop)
-            rows = end - row
-            if row < head:
-                bits[:rows, :n] = suite(row, end)
-            else:  # bit 7 of each raw byte
-                drawn = raw(-(-rows * n // 8)).astype("<u8", copy=False).view(np.uint8)
-                np.greater(drawn[: rows * n].reshape(rows, n), 127, out=bits[:rows, :n])
-            piece = np.packbits(bits[:rows], axis=None, bitorder="little")
-            chunk[:, row - start : end - start] = piece.reshape(rows, width).T
-        # the transposed copy is freed here, not held while the words run
-        words = [int.from_bytes(c, "little") for c in _transpose_bits(chunk)[:n]]
-        yield start, (1 << size) - 1, words
+        first = max(start, head)  # the chunk's first drawn row
+        blocks = -(-max(stop - first, 0) // 64)
+        drawn = raw(blocks * n).astype("<u8", copy=False).reshape(blocks, n)
+        ones = (1 << (stop - start)) - 1
+        columns = (int.from_bytes(drawn[:, i].tobytes(), "little") for i in range(n))
+        words = [
+            (word >> start | column << (first - start)) & ones
+            for word, column in zip(suite, columns)
+        ]
+        del drawn  # freed before the chunk runs
+        yield start, ones, words
         start = stop
 
 
@@ -627,12 +549,12 @@ def verify_random(
     against the oracle the registry names for the block.
 
     The vectors are the rows of :func:`structured_rows`, then ``count``
-    random rows of n bits: bit 7 of each byte of PCG64's little-endian
-    raw words from ``default_rng(seed)``, which equals the single draw
-    ``default_rng(seed).integers(0, 2, (count, n), np.uint8)``; tests pin
-    the equality.
+    random rows of n bits from the raw words of
+    ``default_rng(seed).bit_generator.random_raw``: random row 64k + j of
+    input i is bit j of raw word k·n + i.  PCG64's raw stream is fixed
+    across numpy versions (NEP 19), and tests pin its words.
     They are drawn and checked in chunks of at most
-    ``RANDOM_CHUNK_BYTES`` raw bytes (inputs x rows) and
+    ``RANDOM_CHUNK_BITS`` stimulus bits (inputs x rows) and
     ``RANDOM_CHUNK_ROWS`` rows, structured rows included, and the run
     stops at the first failing chunk, so memory follows one chunk and
     run time ``count``.

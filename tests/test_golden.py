@@ -226,25 +226,25 @@ MUTANT_DIGESTS: dict[str, str] = {
     "sorter2 exhaustive": "9a2b48d89e49d34fe810da8eaf7cd91b3d5ac828345f2a86cc26ca4d14b3bb0b",
     "sorter2 random": "5607cb70e90cb1050f903127b8d74aaa6e6924d14b1dea473993aeadbbe49ec9",
     "half_sorter4 exhaustive": "dfaa2720b2cf179949ce1431c16b44d014c7dfe26a3a51aab61db9f127554f0d",
-    "half_sorter4 random": "469e1917b0314d4ee591eb2976eb988d99643e10c3d50a72d85143e2739f5cfe",
+    "half_sorter4 random": "f7a7ffc83eb0de5d11d58add361091c49b29e78e1cdb82adb51bce2a726e9652",
     "sorting_network4 exhaustive": "81ff7b2e185d2b912e3dec9374f3336a5f73300e9ca6dfcd999d7f47d1fc535d",
-    "sorting_network4 random": "f5647ad255ba04203f1693de9f1380ffbb2d84fc6505f66ee39b215f43f39b00",
+    "sorting_network4 random": "7ad4b71ae2f3f07c195849921c52ccd461f9b3411e559f02b21d57962439b802",
     "sfa exhaustive": "b3d73e2ab5a329eceae63eb5d42e580c80a4da5561cc7daaf78f94d64a432a17",
-    "sfa random": "2335040aa97101e6dea9f2fc9165fde2f628ff45e0103e2df53fd1489e016e0f",
+    "sfa random": "0a27a7ece2edb5995e29482cd48236a19579041fe00303616ae1820a9628bd17",
     "traditional_fa exhaustive": "3e6e0c59945bff21d97d8892c1b28ebaf50f954dac472547baf6d758ee9f3e4e",
-    "traditional_fa random": "daed617c24d77f50efab623436239ffbc460d877e7971d95fd8c413178b94c79",
+    "traditional_fa random": "3346f6be96c4055429a72f16815c2c9b6ecaf32ef6537c5695bab6f59c74003c",
     "adjusted_fa exhaustive": "7b6aee88ebd1eb74f9a658e7886571b0193981d6911d0ebd8dc03fd2b1c66c98",
-    "adjusted_fa random": "a2b129cd0cdd31ea4047f47f8121f7e2e0de2389dc31e75f9ff10d2c9d8ceb72",
+    "adjusted_fa random": "cd477c21be5e0d6e55916f2716cfe1a54dfc084ba6dcee35df80da961ef636aa",
     "compressor72_proposed exhaustive": "ede7e38e2fa3e1638c8e1146753beb4e2aa0e8851739f0a9d713da4fbf71bdf2",
-    "compressor72_proposed random": "b35385911ed9a4d12b03f591d5b5639fa928938eb849843cbed8fc0fd9d26da7",
+    "compressor72_proposed random": "f0f26e8a2b75609a99ca1a91b17c61d13fa6cd2484637566134e242477e3eb76",
     "compressor72_cascade exhaustive": "367741feac09a42481aa842d5b99221541f937c3ea6eed7716de45741104cc8b",
-    "compressor72_cascade random": "ed2af3add46e10ed581e489e6848e5612e9b9800a71a21fcc37a0e91cf6f5925",
+    "compressor72_cascade random": "98be830198cd327627b2e499499e80bf81fa9483ce4f715496d25f301121a1fd",
     "kogge_stone exhaustive": "137579053587af01bc9669c09abad55adae41cd23c4f7a1c7a0ba4cf614fb3b9",
-    "kogge_stone random": "2708becdefe91f4f4531470dd071b9bf7b4ae63df04fc2626b46059427488d4e",
+    "kogge_stone random": "5d8b13a49b9aec8447e97006093d3c94870697be901021d45a1f9a4c34eac9ea",
     "array_reducer exhaustive": "ae58272b8c14e03e0c52e9f338cab3be98eaa720c9bc7f2b4a35706fd69bae41",
-    "array_reducer random": "e7387d3f196d756eec917fd6772aa533c7fc23c9ba08caf9b393e38889a7d461",
+    "array_reducer random": "b34997765252d4b2ad973b29781d52675adaf897ce8ff96bae8bbaefd33de8df",
     "pipeline exhaustive": "e6c976536e2e3b02f78ced9f30f04a72fee71b907606015f9e27194b88d7a160",
-    "pipeline random": "1d3bab459a20e809343f891096f8e047259b4f8a9fb91f20de37076dea31fece",
+    "pipeline random": "fbbf05b76133661599a62491960567c2fda9a3f1a3a8c7b29bfbda03cc7630ad",
 }
 
 

@@ -18,8 +18,7 @@ from gatelab.simulate import _pack, _run, evaluate_batch, exhaustive_columns, ve
 from gatelab.verify import (
     EXHAUSTIVE_INPUT_BOUND,
     ORACLES,
-    RANDOM_BLOCK_ROWS,
-    RANDOM_CHUNK_BYTES,
+    RANDOM_CHUNK_BITS,
     RANDOM_CHUNK_ROWS,
     ExhaustiveBoundError,
     resolve_oracle,
@@ -614,34 +613,42 @@ def engine_stimulus(monkeypatch, circuit, **kwargs):
     return np.concatenate(seen), len(seen)
 
 
-# A budget below one block's bytes: every chunk holds one block.
+# A budget below one block's bits: every chunk holds one block of 64 rows.
 _ONE_BLOCK = 1
+
+
+def random_rows(seed, count, n):
+    """The ``count`` random rows of ``seed`` over ``n`` inputs, as (count,
+    n) uint8, from PCG64's raw words alone: row 64k + j of input i is bit
+    j of raw word k*n + i."""
+    blocks = -(-count // 64)
+    raw = np.random.default_rng(seed).bit_generator.random_raw(blocks * n)
+    shifts = np.arange(64, dtype=np.uint64).reshape(1, 64, 1)
+    bits = raw.reshape(blocks, 1, n) >> shifts & np.uint64(1)
+    return bits.reshape(64 * blocks, n)[:count].astype(np.uint8)
 
 
 def chunk_counts(circuit, count):
     """The chunks of a run of ``count`` random rows at the default budget
     and at one block per chunk.  The structured rows and the draw are cut
     every ``step`` rows, and a cut inside the draw moves back to a
-    multiple of 8 drawn rows."""
+    multiple of 64 drawn rows."""
     head = len(structured_rows(circuit))
     total = head + count
 
     def chunks(step):
         cuts = (k * step for k in range(1, total // step + 2))
-        return 1 + sum(cut - max(0, cut - head) % 8 < total for cut in cuts)
+        return 1 + sum(cut - max(0, cut - head) % 64 < total for cut in cuts)
 
-    rows = min(RANDOM_CHUNK_BYTES // len(circuit.inputs), RANDOM_CHUNK_ROWS)
-    return {
-        RANDOM_CHUNK_BYTES: chunks(rows // RANDOM_BLOCK_ROWS * RANDOM_BLOCK_ROWS),
-        _ONE_BLOCK: chunks(RANDOM_BLOCK_ROWS),
-    }
+    rows = min(RANDOM_CHUNK_BITS // len(circuit.inputs), RANDOM_CHUNK_ROWS)
+    return {RANDOM_CHUNK_BITS: chunks(rows // 64 * 64), _ONE_BLOCK: chunks(64)}
 
 
 _STIMULUS_BLOCKS = (
     BlockSpec("traditional_fa"),
     BlockSpec("compressor72_proposed"),
     BlockSpec("array_reducer", {"cols": 1}),
-    # 1,026 structured rows: several pieces, and several one-block chunks
+    # 1,026 structured rows: several one-block chunks of them
     BlockSpec("pipeline", {"cols": 128}),
 )
 
@@ -650,11 +657,11 @@ _STIMULUS_BLOCKS = (
 @pytest.mark.parametrize("spec", _STIMULUS_BLOCKS, ids=BlockSpec.label)
 def test_random_stimulus_is_structured_rows_then_one_draw(monkeypatch, spec, count):
     circuit = build_block(spec)
-    n = len(circuit.inputs)
-    draw = np.random.default_rng(7).integers(0, 2, size=(count, n), dtype=np.uint8)
-    expected = np.concatenate([structured_rows(circuit), draw])
+    expected = np.concatenate(
+        [structured_rows(circuit), random_rows(7, count, len(circuit.inputs))]
+    )
     for budget, chunks in chunk_counts(circuit, count).items():
-        monkeypatch.setattr(verify, "RANDOM_CHUNK_BYTES", budget)
+        monkeypatch.setattr(verify, "RANDOM_CHUNK_BITS", budget)
         stimulus = engine_stimulus(monkeypatch, circuit, seed=7, count=count)
         assert stimulus[1] == chunks
         assert np.array_equal(stimulus[0], expected)
@@ -668,8 +675,8 @@ def one_input_block():
     return b.seal()
 
 
-# A raw PCG64 word holds 8 values: odd input counts and counts that end
-# part-way through a word catch a block size that is not a multiple of 8.
+# A block of 64 rows takes one raw word an input: odd input counts and
+# counts that end part-way through a block catch a misplaced word.
 _STREAM_CIRCUITS = {
     1: one_input_block,
     2: lambda: build_block(BlockSpec("sorter2")),
@@ -680,65 +687,71 @@ _STREAM_CIRCUITS = {
     56: lambda: build_block(BlockSpec("pipeline", {"cols": 8})),
     224: lambda: build_block(BlockSpec("pipeline", {"cols": 32})),
 }
-_STREAM_COUNTS = (
-    0, 1, 5, RANDOM_BLOCK_ROWS - 1, RANDOM_BLOCK_ROWS, RANDOM_BLOCK_ROWS + 1,
-    2 * RANDOM_BLOCK_ROWS + 3,
-)
 
 
 @pytest.mark.parametrize("seed", (7, 2**63 + 12345))
-@pytest.mark.parametrize("count", _STREAM_COUNTS)
+@pytest.mark.parametrize("count", (0, 1, 63, 64, 65, 2 * 64 + 3, 4097))
 @pytest.mark.parametrize("n", sorted(_STREAM_CIRCUITS), ids="n={}".format)
-def test_random_stream_is_one_integers_draw(monkeypatch, n, count, seed):
-    # The stream is read from raw PCG64 words; it must stay the draw that
-    # seeds and manifests name, whatever numpy does to `integers`.
+def test_random_stream_is_one_raw_word_per_input_and_block(monkeypatch, n, count, seed):
+    # Random row 64k + j of input i is bit j of raw word k*n + i, at every
+    # chunk budget: seeds and manifests name these rows.
     circuit = _STREAM_CIRCUITS[n]()
     assert len(circuit.inputs) == n
-    draw = np.random.default_rng(seed).integers(0, 2, size=(count, n), dtype=np.uint8)
+    draw = random_rows(seed, count, n)
     for budget, chunks in chunk_counts(circuit, count).items():
-        monkeypatch.setattr(verify, "RANDOM_CHUNK_BYTES", budget)
+        monkeypatch.setattr(verify, "RANDOM_CHUNK_BITS", budget)
         stimulus = engine_stimulus(monkeypatch, circuit, seed=seed, count=count)
         assert stimulus[1] == chunks
         assert np.array_equal(stimulus[0][len(structured_rows(circuit)) :], draw)
 
 
+# A, B and C: bits 0-4 the structured rows, bits 5-74 the random rows.
+_SEED_0_WORDS = ["0x3b461fd79fb38504be6", "0x768a217bf105b3ae42a", "0x1c14fa7b529d9bd1712"]
+
+
+def test_random_words_of_seed_0_are_pinned():
+    # traditional_fa's 5 structured rows, then 70 random rows from two
+    # blocks of PCG64(0)'s raw words: a change to numpy's stream fails here.
+    circuit = build_block(BlockSpec("traditional_fa"))
+    ((offset, ones, words),) = verify._random_chunks(circuit, 0, 70)
+    assert offset == 0 and ones == (1 << 75) - 1
+    assert [hex(word) for word in words] == _SEED_0_WORDS
+
+
 def test_random_counterexample_past_the_first_block_is_pinned(monkeypatch):
     # The group propagate p5_25 = p4_25 & p4_9 turned into an OR: the
     # top sum bits go wrong only on long carry chains, first met at
-    # random row 6910 of seed 0, past the first block of draws.  In
-    # chunks of two blocks that row is in the seventh chunk of eight, and
-    # the run stops there.
+    # random row 9133 of seed 0, past the first block of draws.  In
+    # chunks of one block, after the 67 structured rows' two chunks, that
+    # row is in the 145th chunk, and the run stops there.
     adder = build_block(BlockSpec("kogge_stone", {"width": 32}))
     broken = with_kind(adder, "p5_25", GateKind.OR2)
-    vector = np.random.default_rng(0).integers(
-        0, 2, size=(6911, len(adder.inputs)), dtype=np.uint8
-    )[6910]
-    index = 67 + 6910
-    two_blocks = 2 * RANDOM_BLOCK_ROWS * len(adder.inputs)
-    for budget, chunks in ((RANDOM_CHUNK_BYTES, 1), (two_blocks, 7)):
-        monkeypatch.setattr(verify, "RANDOM_CHUNK_BYTES", budget)
+    vector = random_rows(0, 9134, len(adder.inputs))[9133]
+    index = 67 + 9133
+    for budget, chunks in ((RANDOM_CHUNK_BITS, 1), (_ONE_BLOCK, 2 + 9133 // 64 + 1)):
+        monkeypatch.setattr(verify, "RANDOM_CHUNK_BITS", budget)
         calls = counting_engine(monkeypatch)
-        report = verify_random(broken, seed=0, count=8000)
-        assert index > report.structured_count + RANDOM_BLOCK_ROWS
+        report = verify_random(broken, seed=0, count=10_000)
+        assert index > report.structured_count + 64
         assert len(calls) == chunks
         assert report.status == "fail"
-        assert report.vectors_tried == report.structured_count + 8000
+        assert report.vectors_tried == report.structured_count + 10_000
         assert report.counterexample == {
             "index": index,
             "vector": dict(zip(adder.inputs, vector.tolist())),
-            "expected": {"a + b + cin": 3473568768},
-            "actual": {"s + 2^w*cout": 3406459904},
+            "expected": {"a + b + cin": 44396544},
+            "actual": {"s + 2^w*cout": 111505408},
         }
 
 
 def test_random_memory_follows_one_chunk(monkeypatch):
-    # Eight chunks' worth of draws at 2^20 stimulus bytes a chunk, 8 MB
-    # in all; the 19 structured rows count against the budget too, so
-    # they take nine chunks.  The run holds one chunk at a time.
+    # Eight chunks' worth of draws at 2^20 stimulus bits a chunk, 1 MB of
+    # raw words in all; the 19 structured rows count against the budget
+    # too, so they take nine chunks.  The run holds one chunk at a time.
     circuit = build_block(BlockSpec("kogge_stone"))
     budget = 1 << 20
-    monkeypatch.setattr(verify, "RANDOM_CHUNK_BYTES", budget)
-    rows = budget // (len(circuit.inputs) * RANDOM_BLOCK_ROWS) * RANDOM_BLOCK_ROWS
+    monkeypatch.setattr(verify, "RANDOM_CHUNK_BITS", budget)
+    rows = budget // (len(circuit.inputs) * 64) * 64
     verify_random(circuit, count=1)  # compiles the op list
     calls = counting_engine(monkeypatch)
     tracemalloc.start()
@@ -752,7 +765,7 @@ def test_random_memory_follows_one_chunk(monkeypatch):
 
 
 def test_narrow_random_chunks_stop_at_the_row_cap(monkeypatch):
-    # 2 inputs: the byte budget alone would allow 2^26 rows per chunk.
+    # 2 inputs: the bit budget alone would allow 2^26 rows per chunk.
     circuit = build_block(BlockSpec("sorter2"))
     verify_random(circuit, count=1)  # compiles the op list
     calls = counting_engine(monkeypatch)
@@ -764,11 +777,10 @@ def test_narrow_random_chunks_stop_at_the_row_cap(monkeypatch):
         tracemalloc.stop()
     assert report.ok
     # The 4 structured rows count against the first chunk's rows, whose
-    # draw then ends on a multiple of 8: 2^17 - 8 drawn rows.
-    assert calls == [RANDOM_CHUNK_ROWS - 4, RANDOM_CHUNK_ROWS, 9]
-    # The packed stimulus, its tile transpose, a piece's padded bools,
-    # the engine's and the word check's words peak at about 5.4 bytes a
-    # row (tracemalloc).
+    # draw then ends on a multiple of 64: 2^17 - 64 drawn rows.
+    assert calls == [RANDOM_CHUNK_ROWS - 60, RANDOM_CHUNK_ROWS, 65]
+    # The raw words, the engine's and the word check's words peak at a
+    # few bytes a row (tracemalloc).
     assert peak < 16 * RANDOM_CHUNK_ROWS
 
 
@@ -789,8 +801,8 @@ def test_array_random_holds_no_byte_per_stimulus_bit():
 
 def test_random_mode_never_holds_the_whole_structured_suite():
     # pipeline(cols=512): 3,584 inputs and 4,098 structured rows, whose
-    # (rows, inputs) bytes alone would take 14.69 MB.  The suite is built
-    # a piece at a time, packed one bit a stimulus bit.
+    # (rows, inputs) bytes alone would take 14.69 MB.  The suite is held
+    # as one word an input, one bit a stimulus bit.
     circuit = build_block(BlockSpec("pipeline", {"cols": 512}))
     verify_random(circuit, count=0)  # compiles the op list
     tracemalloc.start()
@@ -803,34 +815,16 @@ def test_random_mode_never_holds_the_whole_structured_suite():
     assert peak < len(circuit.inputs) * report.structured_count
 
 
-_TILE_SIZES = (1, 7, 9, 63, 513)
-
-
-@pytest.mark.parametrize("inputs", _TILE_SIZES, ids="inputs={}".format)
-@pytest.mark.parametrize("rows", _TILE_SIZES, ids="rows={}".format)
-def test_bit_tiles_transpose_to_each_inputs_word(rows, inputs):
-    bits = np.random.default_rng(rows * inputs).integers(0, 2, (rows, inputs), np.uint8)
-    for matrix in (bits, np.ones_like(bits)):
-        width, tiles = -(-inputs // 8), -(-rows // 8)
-        packed = np.zeros((width, 8 * tiles), np.uint8)  # rows past the last are 0
-        packed[:, :rows] = np.packbits(matrix, axis=1, bitorder="little").T
-        columns = verify._transpose_bits(packed)
-        assert columns.shape == (8 * width, tiles)
-        expected = np.packbits(matrix.T, axis=1, bitorder="little")
-        assert np.array_equal(columns[:inputs], expected)
-        assert not columns[inputs:].any()
-
-
-@pytest.mark.parametrize("count", (RANDOM_BLOCK_ROWS + 3, 2 * RANDOM_BLOCK_ROWS + 5))
+@pytest.mark.parametrize("count", (64 + 3, 2 * 64 + 5, 8 * 64 + 3, 16 * 64 + 5))
 def test_no_bit_is_set_past_a_chunks_last_vector(monkeypatch, count):
-    # In chunks of one block, the short last chunk reuses rows that the
-    # chunk before it filled; none of them may reach its words.
+    # In chunks of one block, the short last chunk draws a whole block of
+    # raw words; none of the bits past its last row may reach its words.
     circuit = build_block(BlockSpec("compressor72_proposed"))
     structured = structured_rows(circuit)
-    monkeypatch.setattr(verify, "RANDOM_CHUNK_BYTES", _ONE_BLOCK)
+    monkeypatch.setattr(verify, "RANDOM_CHUNK_BITS", _ONE_BLOCK)
     chunks = list(verify._random_chunks(circuit, 1, count))
     offset, ones, _ = chunks[-1]
-    assert len(chunks) > 1 and ones.bit_length() % 8
+    assert len(chunks) > 1 and ones.bit_length() % 64
     assert offset + ones.bit_length() == len(structured) + count
     for offset, ones, words in chunks:
         assert all(word & ~ones == 0 for word in words)
@@ -838,10 +832,10 @@ def test_no_bit_is_set_past_a_chunks_last_vector(monkeypatch, count):
 
 def test_fault_at_the_last_vector_of_a_65_vector_run_is_reported_there():
     # kogge_stone(8) with s0 flipped on exactly one input vector: the
-    # last of 19 structured + 46 random rows, bit 0 of the second word.
+    # last of 19 structured + 46 random rows, bit 45 of each input's first
+    # raw word.
     adder = build_block(BlockSpec("kogge_stone"))
-    n = len(adder.inputs)
-    last = np.random.default_rng(4).integers(0, 2, size=(46, n), dtype=np.uint8)[-1]
+    last = random_rows(4, 46, len(adder.inputs))[-1]
     b = CircuitBuilder("kogge_stone", adder.inputs)
     outs = b.instantiate(adder, {p: b.input(p) for p in adder.inputs})
     match = b.input(adder.inputs[0]) if last[0] else b.inv(b.input(adder.inputs[0]))
