@@ -623,8 +623,15 @@ def random_rows(seed, count, n):
     j of raw word k*n + i."""
     blocks = -(-count // 64)
     raw = np.random.default_rng(seed).bit_generator.random_raw(blocks * n)
+    return word_rows(raw.reshape(blocks, n), count)
+
+
+def word_rows(words, count):
+    """The first ``count`` rows of a (blocks, n) uint64 array, as (count,
+    n) uint8: row 64k + j of input i is bit j of ``words[k, i]``."""
+    blocks, n = words.shape
     shifts = np.arange(64, dtype=np.uint64).reshape(1, 64, 1)
-    bits = raw.reshape(blocks, 1, n) >> shifts & np.uint64(1)
+    bits = words.reshape(blocks, 1, n) >> shifts & np.uint64(1)
     return bits.reshape(64 * blocks, n)[:count].astype(np.uint8)
 
 
@@ -689,15 +696,25 @@ _STREAM_CIRCUITS = {
 }
 
 
+# Counts around one block of 64 rows, and around the 512-row blocks of
+# earlier versions of the stream.
+_STREAM_COUNTS = (0, 1, 5, 63, 64, 65, 2 * 64 + 3, 511, 512, 513, 2 * 512 + 3, 4097)
+
+
 @pytest.mark.parametrize("seed", (7, 2**63 + 12345))
-@pytest.mark.parametrize("count", (0, 1, 63, 64, 65, 2 * 64 + 3, 4097))
+@pytest.mark.parametrize("count", _STREAM_COUNTS)
 @pytest.mark.parametrize("n", sorted(_STREAM_CIRCUITS), ids="n={}".format)
-def test_random_stream_is_one_raw_word_per_input_and_block(monkeypatch, n, count, seed):
+def test_random_stream_is_one_integers_draw(monkeypatch, n, count, seed):
     # Random row 64k + j of input i is bit j of raw word k*n + i, at every
-    # chunk budget: seeds and manifests name these rows.
+    # chunk budget: seeds and manifests name these rows.  Those raw words
+    # are also one full-range uint64 `integers` draw of shape (blocks, n).
     circuit = _STREAM_CIRCUITS[n]()
     assert len(circuit.inputs) == n
     draw = random_rows(seed, count, n)
+    words = np.random.default_rng(seed).integers(
+        0, 2**64, size=(-(-count // 64), n), dtype=np.uint64
+    )
+    assert np.array_equal(word_rows(words, count), draw)
     for budget, chunks in chunk_counts(circuit, count).items():
         monkeypatch.setattr(verify, "RANDOM_CHUNK_BITS", budget)
         stimulus = engine_stimulus(monkeypatch, circuit, seed=seed, count=count)
