@@ -14,6 +14,7 @@ tied-off ports works.
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence, Union
@@ -81,6 +82,38 @@ SCHEMA_VERSION = "1"
 # the nets of an instance.
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_/]*")
 _PORT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def fold(kind: GateKind, ins: Sequence[NetRef]) -> tuple[NetRef, bool] | None:
+    """What a gate with a constant input reduces to, by evaluating
+    :data:`GATE_FN`: ``(Const, False)``, ``(x, False)`` for its other net
+    x, or ``(x, True)`` for the inverse of x.  None when no input is a
+    constant, so the gate stays."""
+    if len(ins) == 1:
+        (a,) = ins
+        return _tied(kind, (a.value,)) if isinstance(a, Const) else None
+    a, b = ins
+    if isinstance(a, Const):
+        if isinstance(b, Const):
+            return _tied(kind, (a.value, b.value))
+        const, invert = _tied(kind, (a.value, None))
+        return (b if const is None else const), invert
+    if isinstance(b, Const):
+        const, invert = _tied(kind, (None, b.value))
+        return (a if const is None else const), invert
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _tied(kind: GateKind, tied: tuple[int | None, ...]) -> tuple[Const | None, bool]:
+    """:data:`GATE_FN`'s ``kind`` with each input tied to its value in
+    ``tied``, or free where None, as ``(Const, False)``, or as ``(None,
+    invert)`` when it is the free input, inverted or not."""
+    fn = GATE_FN[kind]
+    low, high = (fn(*(bit if v is None else v for v in tied), 1) for bit in (0, 1))
+    if low == high:
+        return Const(low), False
+    return None, low == 1
 
 
 @dataclass(frozen=True)
@@ -303,8 +336,8 @@ class CircuitBuilder:
     def add_gate(self, kind: GateKind, *ins: NetRef, name: str | None = None) -> NetRef:
         """Append one gate; returns its output ref.
 
-        Constant inputs fold by evaluating :data:`GATE_FN`: the result may
-        be an existing net, a Const, or an inverter (NAND/NOR with a tied
+        Constant inputs fold by :func:`fold`: the result may be an
+        existing net, a Const, or an inverter (NAND/NOR with a tied
         input).
         """
         self._alive()
@@ -317,23 +350,13 @@ class CircuitBuilder:
         for ref in ins:
             _check_ref(ref, len(self._net_names))
 
-        nets = [ref for ref in ins if not isinstance(ref, Const)]
-        if len(nets) == len(ins):
+        folded = fold(kind, ins)
+        if folded is None:
             out = self._new_net(name)
             self._cells.append(Cell(kind, ins, out))
             return out
-        fn = GATE_FN[kind]
-        if not nets:
-            return Const(fn(*(ref.value for ref in ins), 1))
-        # One net x and one constant: the gate is x, !x or a constant.
-        (x,) = nets
-        low, high = (
-            fn(*(ref.value if isinstance(ref, Const) else bit for ref in ins), 1)
-            for bit in (0, 1)
-        )
-        if low == high:
-            return Const(low)
-        return x if (low, high) == (0, 1) else self.inv(x, name=name)
+        ref, invert = folded
+        return self.inv(ref, name=name) if invert else ref
 
     def and_(self, a: NetRef, b: NetRef, name: str | None = None) -> NetRef:
         return self.add_gate(GateKind.AND2, a, b, name=name)

@@ -19,17 +19,23 @@ inputs it is one chunk in enumeration order.  Above, each chunk fixes
 the n - 17 inputs whose fan-out cones reach the fewest cells, so the
 cells outside those cones run once a sweep and only the cones run once
 a chunk; a chunk's bits are its vectors in ascending index, and chunks
-come in ascending order of their lowest index.
+come in ascending order of their lowest index.  Each chunk runs the cone
+folded with its fixed values, the Shannon cofactor of the cone: each
+gate that reads a constant reduces as the builder's folding does
+(:func:`~gatelab.core.fold`), to a constant, a copy of a net or an
+inverter.  The folded lists are made once a circuit, as its chunks
+first run.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from typing import (
     TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 )
 
-from .core import GATE_FN, Cell, Circuit, NetlistError
+from .core import GATE_FN, Cell, Circuit, Const, GateKind, NetlistError, NetRef, fold
 
 if TYPE_CHECKING:
     import numpy as np
@@ -75,18 +81,17 @@ def _compile(cells: Sequence[Cell], keep: Collection[int]) -> tuple[tuple, ...]:
     function from GATE_FN, input nets, output net, nets to free after
     it).
 
-    An op frees the nets outside ``keep`` that it reads for the last
-    time among ``cells``, so only live nets hold values.
+    One backward pass leaves out the cells that no net of ``keep``
+    depends on, and has each op free the nets outside ``keep`` that it
+    reads for the last time, so only live nets hold values.
     """
-    last_read = {net: k for k, cell in enumerate(cells) for net in cell.ins}
-    free: list[list[int]] = [[] for _ in cells]
-    for net, k in last_read.items():
-        if net not in keep:
-            free[k].append(net)
-    return tuple(
-        (GATE_FN[cell.kind], cell.ins, cell.out, tuple(nets))
-        for cell, nets in zip(cells, free)
-    )
+    live = set(keep)
+    ops = []
+    for cell in reversed(cells):
+        if cell.out in live:
+            ops.append((GATE_FN[cell.kind], cell.ins, cell.out, tuple(set(cell.ins) - live)))
+            live.update(cell.ins)
+    return tuple(reversed(ops))
 
 
 def _exec(ops: tuple[tuple, ...], values: list, ones: int, nets: Iterable[int]) -> list:
@@ -200,40 +205,114 @@ def exhaustive_columns(n_inputs: int) -> list[np.ndarray]:
 
 
 # log2 of the vectors in an exhaustive sweep's chunk, one pass of the
-# cone's op list each.  kogge_stone(width=11)'s 2^23 vectors, with the
-# oracle's steady digits summed once a sweep, in-process on 2 vCPUs
-# (best of 15, and the tracemalloc peak of a sweep): 3.0 ms at 1.0 MiB,
-# against 2.9 ms (2.1 MiB) in chunks of 2^18, 2.35 ms (3.9 MiB) in
-# chunks of 2^19, 3.9 ms (8.1 MiB) in chunks of 2^20 and 9.0 ms (0.8
-# MiB) in chunks of 2^16, where the seventh fixed input's cone is large.
-# Random mode's row cap derives from it.
+# chunk's folded cone each.  kogge_stone(width=11)'s 2^23 vectors swept
+# again on one circuit, in-process on 2 vCPUs (best of 15, and the
+# tracemalloc peak of a sweep): 3.7-4.0 ms at 0.98 MiB, against 5.0 ms
+# (2.0 MiB) in chunks of 2^18 and 12.8-13.9 ms (0.74 MiB) in chunks of
+# 2^16, where the seventh fixed input's cone is large.  Random mode's
+# row cap derives from it.
 _CHUNK_LOG2 = 17
 
 
-def _plan(circuit: Circuit) -> tuple[list[int], tuple[tuple, ...], tuple[tuple, ...]]:
+#: The gate kind of each op function, so folding can read compiled ops.
+_KIND = {fn: kind for kind, fn in GATE_FN.items()}
+
+
+def _copy(word: int, one: int) -> int:
+    """The op function of a gate folded to its other input: the word."""
+    return word
+
+
+def _fold(
+    ops: Sequence[tuple], outs: Sequence[NetRef], net: int, value: int
+) -> tuple[list[tuple], tuple[NetRef, ...]]:
+    """The op list ``ops`` and the output refs ``outs`` with the input
+    ``net`` tied to ``value``.
+
+    Each op that reads a constant reduces by :func:`~gatelab.core.fold`,
+    in order, to a constant, which drops it and makes its readers read a
+    constant, or to a copy or an inverter of its other input, on the op's
+    own net.  So no op reads a net it did not read before, and the frees
+    of the ops kept stay valid; a dropped op's frees are dropped with it,
+    and those nets live until the chunk ends.
+    """
+    subst: dict[int, NetRef] = {net: Const(value)}
+    kept = []
+    for op in ops:
+        fn, ins, out, free = op
+        a, b = ins[0], ins[-1]  # the same net for a 1-input op
+        if a not in subst and b not in subst:
+            kept.append(op)
+            continue
+        ins = (subst.get(a, a), subst.get(b, b))[: len(ins)]
+        ref, invert = (ins[0], False) if fn is _copy else fold(_KIND[fn], ins)
+        if isinstance(ref, Const):
+            subst[out] = ref
+        else:
+            kept.append((GATE_FN[GateKind.INV] if invert else _copy, (ref,), out, free))
+    return kept, tuple([subst.get(ref, ref) for ref in outs])
+
+
+def _folds(
+    fixed: list[int], cone: tuple[tuple, ...], outs: Sequence[int]
+) -> Callable[[int], tuple[list[tuple], tuple[NetRef, ...]]]:
+    """``chunk(c)``: the op list and output refs of the cone's op list
+    ``cone`` with fixed input k tied to bit h - 1 - k of c, made on the
+    first call for c and kept.
+
+    The cone is folded one fixed input at a time, depth-first, and the
+    folds along the last chunk's path stay, so chunks taken in ascending
+    order share the folds of their leading fixed values.
+    """
+    h = len(fixed)
+    lists: list = [None] * (1 << h)
+    path = [(cone, tuple(outs))]  # path[k]: the first k fixed inputs folded
+    last = 0
+
+    def chunk(c: int) -> tuple[list[tuple], tuple[NetRef, ...]]:
+        nonlocal last
+        if lists[c] is None:
+            del path[min(len(path), h + 1 - (c ^ last).bit_length()) :]
+            for k in range(len(path) - 1, h):
+                path.append(_fold(*path[k], fixed[k], c >> (h - 1 - k) & 1))
+            last = c
+            lists[c] = path[h]
+        return lists[c]
+
+    return chunk
+
+
+def _plan(
+    circuit: Circuit,
+) -> tuple[list[int], tuple[tuple, ...], tuple[tuple, ...], Callable]:
     """The inputs an exhaustive sweep of more than 2^17 vectors fixes in
-    each chunk, by index in declared order, then the op lists of the
-    cells outside their fan-out cone and of the cells in it.
+    each chunk, by index in declared order; the op lists of the cells
+    outside their fan-out cone and of the cells in it; and
+    :func:`_folds`' ``chunk(c)``, the cone's list folded for chunk c.
 
     The fixed inputs are the h = n - 17 whose cones hold the fewest
-    cells, the later-declared first on a tie.  Each net's input-dependency
-    bitmask, built in one pass over the cells, gives the cones.  The
-    outer list keeps the nets that cone cells read.
+    cells, the later-declared first on a tie.  Each net's fan-out cone,
+    a bitmask with bit k for cell k, built in one backward pass over the
+    cells, gives the cones.  The outer list keeps the nets that cone
+    cells read.  The plan is kept on the circuit with the folded lists
+    its sweeps have made, so a circuit swept again folds nothing.
     """
     n = len(circuit.inputs)
-    deps = [1 << i for i in range(n)] + [0] * (circuit.num_nets - n)
-    for cell in circuit.cells:
-        for net in cell.ins:
-            deps[cell.out] |= deps[net]
-    reach = [deps[cell.out] for cell in circuit.cells]
-    size = [sum(d >> i & 1 for d in reach) for i in range(n)]
+    cells = circuit.cells
+    down = [0] * circuit.num_nets
+    for k in range(len(cells) - 1, -1, -1):
+        reach = down[cells[k].out] | 1 << k
+        for net in cells[k].ins:
+            down[net] |= reach
+    size = [down[i].bit_count() for i in range(n)]
     fixed = sorted(sorted(range(n), key=lambda i: (size[i], -i))[: n - _CHUNK_LOG2])
-    mask = sum(1 << i for i in fixed)
-    cone = [cell for cell, d in zip(circuit.cells, reach) if d & mask]
-    outer = [cell for cell, d in zip(circuit.cells, reach) if not d & mask]
+    mask = functools.reduce(operator.or_, (down[i] for i in fixed))
+    cone = [cell for k, cell in enumerate(cells) if mask >> k & 1]
+    outer = [cell for k, cell in enumerate(cells) if not mask >> k & 1]
     read = {net for cell in cone for net in cell.ins}
     keep = set(circuit.output_nets)
-    return fixed, _compile(outer, keep | read), _compile(cone, keep)
+    ops = _compile(cone, keep)
+    return fixed, _compile(outer, keep | read), ops, _folds(fixed, ops, circuit.output_nets)
 
 
 def _sweep(
@@ -254,16 +333,20 @@ def _sweep(
     chunk, in declared order: the one at bit s of b holds 2^s zeros, then
     2^s ones, a period doubled (``w |= w << p``) until it fills the chunk.
     The cells outside the cone read no fixed input, so they run once,
-    here, and the nets the cone reads stay alive across chunks; a chunk's
-    pass runs the cone alone.  So the moving ports are the fixed inputs
+    here, and the nets the cone reads stay alive across chunks.  A chunk's
+    pass reads its fixed inputs' words, 0 or all-ones, as the chunk's
+    number c, and runs ``chunk(c)`` of :func:`_folds`: what is left of the
+    cone once each gate that reads a constant is reduced to a constant, a
+    copy of a net or an inverter.  An output that folds to a constant
+    gets the word 0 or all-ones.  The moving ports are the fixed inputs
     and the outputs on a cone cell's net or a fixed input's; the others,
     the varying inputs and the shared outputs, keep one word a sweep.
     """
     n = len(circuit.inputs)
-    fixed, outer, cone = [], (), ()
+    fixed: list[int] = []
     moving = set(circuit.inputs), set(circuit.outputs)
     if n > _CHUNK_LOG2:
-        fixed, outer, cone = _cached(circuit, "_plan", _plan)
+        fixed, outer, cone, chunk = _cached(circuit, "_plan", _plan)
         driven = {out for _, _, out, _ in cone}.union(fixed)
         moving = (
             {circuit.inputs[i] for i in fixed},
@@ -286,7 +369,16 @@ def _sweep(
         _exec(outer, base, ones, ())
 
         def run(words: list[int], ones: int) -> list[int]:
-            return _exec(cone, words + base[n:], ones, circuit.output_nets)
+            c = 0
+            for i in fixed:
+                c = c << 1 | (words[i] != 0)
+            ops, refs = chunk(c)
+            values = base.copy()
+            _exec(ops, values, ones, ())
+            return [
+                (0, ones)[ref.value] if isinstance(ref, Const) else values[ref]
+                for ref in refs
+            ]
 
     def chunks() -> Iterator[tuple[int, int, list[int]]]:
         for c in range(1 << h):

@@ -499,10 +499,11 @@ RANDOM_CHUNK_ROWS = 1 << _CHUNK_LOG2
 
 
 def _random_chunks(
-    circuit: Circuit, seed: int, count: int
+    circuit: Circuit, suite: tuple[int, list[int]], seed: int, count: int
 ) -> Iterator[tuple[int, int, list[int]]]:
-    """(offset, all-ones word, input words) chunks of the structured
-    suite's rows, then ``count`` rows of the seeded random stream.
+    """(offset, all-ones word, input words) chunks of the rows of
+    ``suite``, the circuit's :func:`_suite`, then ``count`` rows of the
+    seeded random stream.
 
     Random row 64k + j of input i is bit j of raw word k·n + i of
     ``default_rng(seed)``'s PCG64, so each raw word is one input's word
@@ -519,7 +520,7 @@ def _random_chunks(
     n = len(circuit.inputs)
     most = min(RANDOM_CHUNK_BITS // n, RANDOM_CHUNK_ROWS)  # rows a chunk may hold
     step = max(1, most // 64) * 64
-    head, suite = _suite(circuit)  # rows ahead of the draw
+    head, structured = suite  # rows ahead of the draw
     total = head + count
     raw = np.random.default_rng(seed).bit_generator.random_raw
     start = 0
@@ -535,7 +536,7 @@ def _random_chunks(
         columns = (int.from_bytes(drawn[:, i].tobytes(), "little") for i in range(n))
         words = [
             (word >> start | column << (first - start)) & ones
-            for word, column in zip(suite, columns)
+            for word, column in zip(structured, columns)
         ]
         del drawn  # freed before the chunk runs
         yield start, ones, words
@@ -563,8 +564,9 @@ def verify_random(
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise NetlistError(f"{name} must be a non-negative int, got {value!r}")
     orc = resolve_oracle(circuit)
-    head, _ = _suite(circuit)
-    chunks = _random_chunks(circuit, seed, count)
+    suite = _suite(circuit)
+    head = suite[0]
+    chunks = _random_chunks(circuit, suite, seed, count)
     run = functools.partial(_run, circuit)
     moving = set(circuit.inputs), set(circuit.outputs)  # each chunk's rows are new
     failure = _first_failure(circuit, orc, chunks, run, lambda b: b, moving)

@@ -324,6 +324,69 @@ def test_exhaustive_slices_are_the_simulated_enumeration(n):
     assert np.array_equal(np.sort(np.concatenate(indices)), np.arange(1 << n))
 
 
+def folding_block():
+    """20 inputs: i0..i16, whose XOR y reaches all but three cone cells,
+    and f0..f2, whose cones hold 3 to 6 cells against the 14 or more of
+    each i, so a sweep fixes f0..f2.  NAND2, NOR2 and INV cells read
+    them directly and one level down."""
+    b = CircuitBuilder("folds", [*(f"i{k}" for k in range(17)), "f0", "f1", "f2"])
+    y = b.input("i0")
+    for k in range(1, 17):
+        y = b.xor(y, b.input(f"i{k}"))
+    y2 = b.and_(y, b.input("i5"))
+    f0, f1, f2 = (b.input(p) for p in ("f0", "f1", "f2"))
+    nand, nor, inv = b.nand_(f0, y), b.nor_(f1, y), b.inv(f2)
+    outs = {
+        "o0": b.nor_(nand, y2),  # f0 = 0: a constant one level down
+        "o1": b.nand_(nor, y2),  # f1 = 1: a constant one level down
+        "o2": b.nand_(inv, y),  # f2 = 0: the inverse of y one level down
+        "o3": b.nor_(inv, y),  # f2 = 1: the inverse of y one level down
+        "o4": b.and_(f0, y2),  # f0 = 1: the net y2
+        "o5": b.or_(b.inv(f1), y),  # f1 = 1: the net y one level down
+        "o6": b.nand_(f0, f1),  # f0 = 1: an inverter, then a constant
+        "o7": b.nor_(nand, nor),  # both folded, or one
+        "o8": inv,  # a constant output
+        "o9": f2,  # an output on a fixed input
+        "o10": y,  # a shared output
+    }
+    for port, ref in outs.items():
+        b.set_output(port, ref)
+    return b.seal()
+
+
+def test_a_folded_sweep_runs_what_the_whole_op_list_runs(monkeypatch):
+    # Every chunk of the sweep, whose cone is folded with the chunk's
+    # fixed values, gives the output words that the whole op list gives
+    # on the same input words; the folds reduce NAND2, NOR2 and INV cells
+    # to each of a constant, a net and its inverse.
+    circuit = folding_block()
+    fixed, _, _, _ = simulate._plan(circuit)
+    assert [circuit.inputs[i] for i in fixed] == ["f0", "f1", "f2"]
+    outcomes = set()
+    fold = simulate.fold
+
+    def recording(kind, ins):
+        folded = fold(kind, ins)
+        if folded is not None:
+            ref, invert = folded
+            kind_of = "constant" if isinstance(ref, Const) else "inverse" if invert else "net"
+            outcomes.add((kind, kind_of))
+        return folded
+
+    monkeypatch.setattr(simulate, "fold", recording)
+    chunks, run, _, _ = simulate._sweep(circuit)
+    lows = []
+    for low, ones, words in chunks:
+        assert run(words, ones) == simulate._run(circuit, words, ones)
+        lows.append(low)
+    assert lows == list(range(8))
+    assert {
+        (GateKind.NAND2, "constant"), (GateKind.NAND2, "inverse"),
+        (GateKind.NOR2, "constant"), (GateKind.NOR2, "inverse"),
+        (GateKind.INV, "constant"), (GateKind.AND2, "net"), (GateKind.OR2, "net"),
+    } <= outcomes
+
+
 def test_vector_at_is_a_row_of_the_enumeration():
     c = kogge_stone(width=3)
     n = len(c.inputs)

@@ -104,12 +104,14 @@ def test_commands_that_simulate_nothing_load_no_numpy(tmp_path, argv):
         ["verify", "compressor72_proposed"],
         ["verify", "compressor72_cascade", "--check", "cin-independence"],
         ["verify", "kogge_stone"],
+        ["verify", "kogge_stone", "--width", "9"],
     ],
     ids=lambda argv: " ".join(argv),
 )
 def test_exhaustive_verifies_load_no_numpy(tmp_path, argv):
     # Exhaustive sweeps build their input words on Python ints, at any
-    # width: the paper's 9-input compressor and kogge_stone's 17 inputs.
+    # width: the paper's 9-input compressor, kogge_stone's 17 inputs, and
+    # its 19 at width 9, whose chunks run a folded cone.
     code, loaded = _fresh(tmp_path, f"from gatelab import cli\nresult = cli.main({argv!r})")
     assert code == 0
     assert "numpy" not in loaded

@@ -12,7 +12,7 @@ import pytest
 from test_simulate import unpack
 
 from gatelab import simulate, verify
-from gatelab.core import CircuitBuilder, GateKind, NetlistError
+from gatelab.core import ONE, ZERO, CircuitBuilder, GateKind, NetlistError
 from gatelab.generators import COMPRESSOR_INPUTS, REGISTRY, BlockSpec, build_block
 from gatelab.simulate import _pack, _run, evaluate_batch, exhaustive_columns, vector_at
 from gatelab.verify import (
@@ -246,7 +246,7 @@ def test_word_check_fails_where_explain_rejects(spec, rows):
     if rows is None:
         chunks, _, _, _ = simulate._sweep(circuit)
     else:
-        chunks = verify._random_chunks(circuit, 0, rows)
+        chunks = verify._random_chunks(circuit, verify._suite(circuit), 0, rows)
     _, ones, words = next(chunks)
     count = ones.bit_length()
     ins = dict(zip(circuit.inputs, words))
@@ -298,18 +298,29 @@ def recording_passes(monkeypatch):
     return passes
 
 
+def gate_ops(ops):
+    """The ops of a folded op list that evaluate a gate, not copy a word."""
+    return sum(op[0] is not simulate._copy for op in ops)
+
+
 def test_exhaustive_stops_at_its_first_failing_chunk(monkeypatch):
     # kogge_stone(width=9) has 19 inputs.  With s0 flipped where cin = 1,
     # the sweep fixes a8 and b8, whose cones are the smallest, in four
     # chunks: a8 = b8 = 0 from index 0, then b8 = 1 from index 2, and so
     # on.  The first fails at index 1, below 2, so no other is simulated:
-    # the cells outside the cone run once and the cone once.
+    # the cells outside the cone run once and the first chunk's folded
+    # cone once.  Where a8 = b8, the top carry is killed or generated: the
+    # cone folds to cout = 0 or 1 and two copies that give s8 the word of
+    # c8.  Where they differ, 12 gates propagate c8.
     broken = flipped_where(build_block(BlockSpec("kogge_stone", {"width": 9})), ("cin",))
-    fixed, outer, cone = simulate._plan(broken)
+    fixed, outer, cone, chunk = simulate._plan(broken)
     assert [broken.inputs[i] for i in fixed] == ["a8", "b8"]
+    assert [len(chunk(c)[0]) for c in range(4)] == [2, 17, 17, 2]
+    assert [gate_ops(chunk(c)[0]) for c in range(4)] == [0, 12, 12, 0]
+    assert (chunk(0)[1][-1], chunk(3)[1][-1]) == (ZERO, ONE)  # cout
     passes = recording_passes(monkeypatch)
     report = verify_exhaustive(broken)
-    assert passes == [outer, cone]
+    assert passes == [outer, chunk(0)[0]]
     assert report.status == "fail"
     assert report.vectors_tried == 1 << 19
     assert report.counterexample == {
@@ -326,17 +337,18 @@ def test_exhaustive_reports_a_lower_index_from_a_later_chunk(monkeypatch):
     # b8.  The first chunk, a8 = b8 = 0, fails first at a7 = 1 alone, index
     # 2^11; the second, b8 = 1, at b8 = 1 alone, index 2, which is the one
     # reported.  The third chunk's lowest index, 2^10 (a8 = 1), is above
-    # it, so two chunks run.
+    # it, so two chunks run, each on its own folded cone.
     adder = build_block(BlockSpec("kogge_stone", {"width": 9}))
     broken = flipped_where(flipped_where(adder, ("a7",)), ("b8",))
-    fixed, outer, cone = simulate._plan(broken)
+    fixed, outer, cone, chunk = simulate._plan(broken)
     assert [broken.inputs[i] for i in fixed] == ["a8", "b8"]
+    assert gate_ops(chunk(0)[0]) == 0 < gate_ops(chunk(1)[0])
     fail = single_shot(adder, broken)
     assert fail & -fail == 1 << 2
     assert min(v for v in bits(fail, 1 << 12) if not v & 2) == 1 << 11  # b8 = 0
     passes = recording_passes(monkeypatch)
     report = verify_exhaustive(broken)
-    assert passes == [outer, cone, cone]
+    assert passes == [outer, chunk(0)[0], chunk(1)[0]]
     assert report.counterexample == {
         "index": 2,
         "vector": {p: int(p == "b8") for p in broken.inputs},
@@ -347,11 +359,16 @@ def test_exhaustive_reports_a_lower_index_from_a_later_chunk(monkeypatch):
 
 def test_the_sweep_of_kogge_stone_11_fixes_its_top_bits():
     # 23 inputs, so 6 are fixed in each of 64 chunks: the ones whose cones
-    # reach the fewest cells
+    # reach the fewest cells.  Folded with each chunk's fixed values, the
+    # 69-cell cone leaves 600 gate ops over the 64 chunks, not 69 x 64 =
+    # 4,416, and 392 copies of a word.
     adder = build_block(BlockSpec("kogge_stone", {"width": 11}))
-    fixed, outer, cone = simulate._plan(adder)
+    fixed, outer, cone, chunk = simulate._plan(adder)
     assert [adder.inputs[i] for i in fixed] == ["a8", "a9", "a10", "b8", "b9", "b10"]
     assert (len(outer), len(cone)) == (139, 69)
+    gates = [gate_ops(chunk(c)[0]) for c in range(64)]
+    assert (sum(gates), min(gates), max(gates)) == (600, 0, 30)
+    assert sum(len(chunk(c)[0]) for c in range(64)) == 600 + 392
 
 
 @pytest.mark.parametrize(
@@ -730,7 +747,7 @@ def test_random_words_of_seed_0_are_pinned():
     # traditional_fa's 5 structured rows, then 70 random rows from two
     # blocks of PCG64(0)'s raw words: a change to numpy's stream fails here.
     circuit = build_block(BlockSpec("traditional_fa"))
-    ((offset, ones, words),) = verify._random_chunks(circuit, 0, 70)
+    ((offset, ones, words),) = verify._random_chunks(circuit, verify._suite(circuit), 0, 70)
     assert offset == 0 and ones == (1 << 75) - 1
     assert [hex(word) for word in words] == _SEED_0_WORDS
 
@@ -816,6 +833,18 @@ def test_array_random_holds_no_byte_per_stimulus_bit():
     assert peak < len(circuit.inputs) * report.vectors_tried
 
 
+def test_random_mode_builds_the_structured_suite_once(monkeypatch):
+    # Its row count and its words come from one build; the report counts
+    # the same rows.
+    circuit = build_block(BlockSpec("pipeline", {"cols": 8}))
+    calls = []
+    suite = verify._suite
+    monkeypatch.setattr(verify, "_suite", lambda c: calls.append(c) or suite(c))
+    report = verify_random(circuit, seed=1, count=100)
+    assert calls == [circuit] and report.ok
+    assert report.structured_count == len(structured_rows(circuit))
+
+
 def test_random_mode_never_holds_the_whole_structured_suite():
     # pipeline(cols=512): 3,584 inputs and 4,098 structured rows, whose
     # (rows, inputs) bytes alone would take 14.69 MB.  The suite is held
@@ -839,7 +868,7 @@ def test_no_bit_is_set_past_a_chunks_last_vector(monkeypatch, count):
     circuit = build_block(BlockSpec("compressor72_proposed"))
     structured = structured_rows(circuit)
     monkeypatch.setattr(verify, "RANDOM_CHUNK_BITS", _ONE_BLOCK)
-    chunks = list(verify._random_chunks(circuit, 1, count))
+    chunks = list(verify._random_chunks(circuit, verify._suite(circuit), 1, count))
     offset, ones, _ = chunks[-1]
     assert len(chunks) > 1 and ones.bit_length() % 64
     assert offset + ones.bit_length() == len(structured) + count
