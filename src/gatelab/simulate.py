@@ -14,14 +14,16 @@ vector index v assigns input i (in declared order) the bit
 ``(v >> (n - 1 - i)) & 1``, so ascending index is ascending
 lexicographic order over input tuples; :func:`exhaustive_columns` gives
 the inputs in that order as uint8 columns.  An exhaustive sweep
-(:func:`_sweep`) runs in chunks of 2^17 vectors, a word a net.  Up to 17
-inputs it is one chunk in enumeration order.  Above, each chunk fixes
-the n - 17 inputs whose fan-out cones reach the fewest cells, so the
-cells outside those cones run once a sweep and only the cones run once
-a chunk; a chunk's bits are its vectors in ascending index, and chunks
-come in ascending order of their lowest index.  Each chunk runs the cone
-folded with its fixed values, the Shannon cofactor of the cone: each
-gate that reads a constant reduces as the builder's folding does
+(:func:`_sweep`) takes one path whatever its width: it runs in chunks of
+at most 2^17 vectors, a word a net, and each chunk fixes the
+h = max(n - 17, 0) inputs whose fan-out cones reach the fewest cells.
+The cells outside those cones run once a sweep and only the cones run
+once a chunk; a chunk's bits are its vectors in ascending index, and
+chunks come in ascending order of their lowest index.  So a sweep of at
+most 17 inputs fixes none: its one chunk is the enumeration, and every
+cell runs once, outside an empty cone.  Each chunk runs the cone folded
+with its fixed values, the Shannon cofactor of the cone: each gate that
+reads a constant reduces as the builder's folding does
 (:func:`~gatelab.core.fold`), to a constant, a copy of a net or an
 inverter.  The folded lists are made once a circuit, as its chunks
 first run.
@@ -253,49 +255,42 @@ def _fold(
     return kept, tuple([subst.get(ref, ref) for ref in outs])
 
 
-def _folds(
-    fixed: list[int], cone: tuple[tuple, ...], outs: Sequence[int]
-) -> Callable[[int], tuple[list[tuple], tuple[NetRef, ...]]]:
-    """``chunk(c)``: the op list and output refs of the cone's op list
-    ``cone`` with fixed input k tied to bit h - 1 - k of c, made on the
-    first call for c and kept.
+def _folded(
+    memo: dict, fixed: list[int], k: int, prefix: int
+) -> tuple[Sequence[tuple], tuple[NetRef, ...]]:
+    """The op list and output refs of the cone with fixed input j tied to
+    bit k - 1 - j of ``prefix``, for each j below k.
 
-    The cone is folded one fixed input at a time, depth-first, and the
-    folds along the last chunk's path stay, so chunks taken in ascending
-    order share the folds of their leading fixed values.
+    ``memo[0, 0]`` holds the cone's own op list and output refs.  The
+    cone with k inputs tied is that with the first k - 1 tied, folded
+    with one more (the Shannon cofactor of a cofactor), and ``memo`` keeps
+    each prefix's fold, so chunks in any order share the folds of their
+    leading fixed values.  ``memo`` is passed in, not closed over, so a
+    dropped circuit's folds are freed with it, with no cycle to collect.
     """
-    h = len(fixed)
-    lists: list = [None] * (1 << h)
-    path = [(cone, tuple(outs))]  # path[k]: the first k fixed inputs folded
-    last = 0
-
-    def chunk(c: int) -> tuple[list[tuple], tuple[NetRef, ...]]:
-        nonlocal last
-        if lists[c] is None:
-            del path[min(len(path), h + 1 - (c ^ last).bit_length()) :]
-            for k in range(len(path) - 1, h):
-                path.append(_fold(*path[k], fixed[k], c >> (h - 1 - k) & 1))
-            last = c
-            lists[c] = path[h]
-        return lists[c]
-
-    return chunk
+    folded = memo.get((k, prefix))
+    if folded is None:
+        folded = _fold(*_folded(memo, fixed, k - 1, prefix >> 1), fixed[k - 1], prefix & 1)
+        memo[k, prefix] = folded
+    return folded
 
 
 def _plan(
     circuit: Circuit,
 ) -> tuple[list[int], tuple[tuple, ...], tuple[tuple, ...], Callable]:
-    """The inputs an exhaustive sweep of more than 2^17 vectors fixes in
-    each chunk, by index in declared order; the op lists of the cells
-    outside their fan-out cone and of the cells in it; and
-    :func:`_folds`' ``chunk(c)``, the cone's list folded for chunk c.
+    """The inputs an exhaustive sweep fixes in each chunk, by index in
+    declared order; the op lists of the cells outside their fan-out cone
+    and of the cells in it; and ``chunk(c)``, :func:`_folded` for chunk
+    c: the cone's list with the fixed inputs tied to c's h bits.
 
-    The fixed inputs are the h = n - 17 whose cones hold the fewest
-    cells, the later-declared first on a tie.  Each net's fan-out cone,
-    a bitmask with bit k for cell k, built in one backward pass over the
-    cells, gives the cones.  The outer list keeps the nets that cone
-    cells read.  The plan is kept on the circuit with the folded lists
-    its sweeps have made, so a circuit swept again folds nothing.
+    The fixed inputs are the h = max(n - 17, 0) whose cones hold the
+    fewest cells, the later-declared first on a tie; with none fixed the
+    cone is empty and the outer list is the whole op list.  Each net's
+    fan-out cone, a bitmask with bit k for cell k, built in one backward
+    pass over the cells, gives the cones.  The outer list keeps the nets
+    that cone cells read.  The plan is kept on the circuit with the
+    folded lists its sweeps have made, so a circuit swept again folds
+    nothing.
     """
     n = len(circuit.inputs)
     cells = circuit.cells
@@ -305,14 +300,17 @@ def _plan(
         for net in cells[k].ins:
             down[net] |= reach
     size = [down[i].bit_count() for i in range(n)]
-    fixed = sorted(sorted(range(n), key=lambda i: (size[i], -i))[: n - _CHUNK_LOG2])
-    mask = functools.reduce(operator.or_, (down[i] for i in fixed))
+    h = max(n - _CHUNK_LOG2, 0)
+    fixed = sorted(sorted(range(n), key=lambda i: (size[i], -i))[:h])
+    mask = functools.reduce(operator.or_, (down[i] for i in fixed), 0)
     cone = [cell for k, cell in enumerate(cells) if mask >> k & 1]
     outer = [cell for k, cell in enumerate(cells) if not mask >> k & 1]
     read = {net for cell in cone for net in cell.ins}
     keep = set(circuit.output_nets)
     ops = _compile(cone, keep)
-    return fixed, _compile(outer, keep | read), ops, _folds(fixed, ops, circuit.output_nets)
+    memo = {(0, 0): (ops, tuple(circuit.output_nets))}
+    chunk = functools.partial(_folded, memo, fixed, h)
+    return fixed, _compile(outer, keep | read), ops, chunk
 
 
 def _sweep(
@@ -326,32 +324,30 @@ def _sweep(
     words is vector ``lowest index + spread(b)``, and ``moving`` names the
     input and output ports whose words change from chunk to chunk.
 
-    Up to 17 inputs the sweep is one chunk through :func:`_run`, and
-    every port counts as moving.  Above, :func:`_plan`'s h fixed inputs
+    There is one path for every width.  :func:`_plan`'s h fixed inputs
     hold all-0 or all-1 words in each of 2^h chunks, taken in
-    lexicographic order of their values.  The other inputs vary in every
+    lexicographic order of their values; up to 17 inputs h is 0, and the
+    one chunk runs the empty cone.  The other inputs vary in every
     chunk, in declared order: the one at bit s of b holds 2^s zeros, then
     2^s ones, a period doubled (``w |= w << p``) until it fills the chunk.
     The cells outside the cone read no fixed input, so they run once,
     here, and the nets the cone reads stay alive across chunks.  A chunk's
     pass reads its fixed inputs' words, 0 or all-ones, as the chunk's
-    number c, and runs ``chunk(c)`` of :func:`_folds`: what is left of the
+    number c, and runs ``chunk(c)`` of :func:`_plan`: what is left of the
     cone once each gate that reads a constant is reduced to a constant, a
     copy of a net or an inverter.  An output that folds to a constant
     gets the word 0 or all-ones.  The moving ports are the fixed inputs
     and the outputs on a cone cell's net or a fixed input's; the others,
-    the varying inputs and the shared outputs, keep one word a sweep.
+    the varying inputs and the shared outputs, keep one word a sweep, so
+    in a one-chunk sweep no port moves.
     """
     n = len(circuit.inputs)
-    fixed: list[int] = []
-    moving = set(circuit.inputs), set(circuit.outputs)
-    if n > _CHUNK_LOG2:
-        fixed, outer, cone, chunk = _cached(circuit, "_plan", _plan)
-        driven = {out for _, _, out, _ in cone}.union(fixed)
-        moving = (
-            {circuit.inputs[i] for i in fixed},
-            {p for p, net in zip(circuit.outputs, circuit.output_nets) if net in driven},
-        )
+    fixed, outer, cone, chunk = _cached(circuit, "_plan", _plan)
+    driven = {out for _, _, out, _ in cone}.union(fixed)
+    moving = (
+        {circuit.inputs[i] for i in fixed},
+        {p for p, net in zip(circuit.outputs, circuit.output_nets) if net in driven},
+    )
     varying = [i for i in range(n) if i not in fixed]
     h, m = len(fixed), len(varying)
     ones = (1 << (1 << m)) - 1
@@ -362,23 +358,20 @@ def _sweep(
             word |= word << period
             period <<= 1
         words[i] = word
-    if not fixed:
-        run = functools.partial(_run, circuit)
-    else:
-        base = words + [None] * (circuit.num_nets - n)
-        _exec(outer, base, ones, ())
+    base = words + [None] * (circuit.num_nets - n)
+    _exec(outer, base, ones, ())
 
-        def run(words: list[int], ones: int) -> list[int]:
-            c = 0
-            for i in fixed:
-                c = c << 1 | (words[i] != 0)
-            ops, refs = chunk(c)
-            values = base.copy()
-            _exec(ops, values, ones, ())
-            return [
-                (0, ones)[ref.value] if isinstance(ref, Const) else values[ref]
-                for ref in refs
-            ]
+    def run(words: list[int], ones: int) -> list[int]:
+        c = 0
+        for i in fixed:
+            c = c << 1 | (words[i] != 0)
+        ops, refs = chunk(c)
+        values = base.copy()
+        _exec(ops, values, ones, ())
+        return [
+            (0, ones)[ref.value] if isinstance(ref, Const) else values[ref]
+            for ref in refs
+        ]
 
     def chunks() -> Iterator[tuple[int, int, list[int]]]:
         for c in range(1 << h):

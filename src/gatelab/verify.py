@@ -26,8 +26,10 @@ run chunks past its first failing one, though never more than a passing
 sweep.  The other inputs and the outputs outside those cones keep their
 words in every chunk, so a weighted oracle sums them once a sweep, and
 each chunk sums only the digits that the fixed inputs and their cones'
-outputs can move.  Random chunks and one-chunk sweeps hold no such
-ports, and each chunk sums all of its words.  A random chunk holds at
+outputs can move.  A sweep of at most 17 inputs is one chunk with no
+fixed input, so every port is steady and the oracle sums them all once.
+Random chunks hold no steady port, and each chunk sums all of its
+words.  A random chunk holds at
 most ``RANDOM_CHUNK_BITS`` stimulus bits (inputs x rows) and at most
 ``RANDOM_CHUNK_ROWS`` rows, structured rows included, so a run's memory
 follows one chunk and its run time follows ``count``.  The structured

@@ -3,8 +3,11 @@ folding, enumeration order, stimulus checks."""
 
 from __future__ import annotations
 
+import gc
 import itertools
 import pickle
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from gatelab.generators import (
     REGISTRY,
     BlockSpec,
     build_block,
+    compressor72_proposed,
     kogge_stone,
     sfa,
     sorter2,
@@ -354,14 +358,24 @@ def folding_block():
     return b.seal()
 
 
-def test_a_folded_sweep_runs_what_the_whole_op_list_runs(monkeypatch):
+@pytest.mark.parametrize(
+    "make",
+    [
+        folding_block,
+        compressor72_proposed,
+        lambda: kogge_stone(width=8),
+        lambda: kogge_stone(width=9),
+    ],
+    ids=["folding_block", "compressor72_proposed", "kogge_stone_8", "kogge_stone_9"],
+)
+def test_a_folded_sweep_runs_what_the_whole_op_list_runs(make, monkeypatch):
     # Every chunk of the sweep, whose cone is folded with the chunk's
     # fixed values, gives the output words that the whole op list gives
-    # on the same input words; the folds reduce NAND2, NOR2 and INV cells
-    # to each of a constant, a net and its inverse.
-    circuit = folding_block()
+    # on the same input words, with no input fixed (9 and 17 inputs) or
+    # some (19 and 20); in folding_block's sweep the folds reduce NAND2,
+    # NOR2 and INV cells to each of a constant, a net and its inverse.
+    circuit = make()
     fixed, _, _, _ = simulate._plan(circuit)
-    assert [circuit.inputs[i] for i in fixed] == ["f0", "f1", "f2"]
     outcomes = set()
     fold = simulate.fold
 
@@ -379,12 +393,76 @@ def test_a_folded_sweep_runs_what_the_whole_op_list_runs(monkeypatch):
     for low, ones, words in chunks:
         assert run(words, ones) == simulate._run(circuit, words, ones)
         lows.append(low)
+    assert len(lows) == 1 << len(fixed) and lows == sorted(lows)
+    if make is not folding_block:
+        return
+    assert [circuit.inputs[i] for i in fixed] == ["f0", "f1", "f2"]
     assert lows == list(range(8))
     assert {
         (GateKind.NAND2, "constant"), (GateKind.NAND2, "inverse"),
         (GateKind.NOR2, "constant"), (GateKind.NOR2, "inverse"),
         (GateKind.INV, "constant"), (GateKind.AND2, "net"), (GateKind.OR2, "net"),
     } <= outcomes
+
+
+@pytest.mark.parametrize(
+    "make, names",
+    [
+        (compressor72_proposed, []),
+        (lambda: kogge_stone(width=8), []),
+        (lambda: inverter_block(18), ["i17"]),
+        (lambda: kogge_stone(width=9), ["a8", "b8"]),
+    ],
+    ids=["compressor72_proposed", "kogge_stone_8", "inverter_block_18", "kogge_stone_9"],
+)
+def test_the_plan_fixes_the_inputs_past_17(make, names):
+    # A sweep fixes max(n - 17, 0) inputs: none for 9 or 17 inputs, whose
+    # one chunk runs the whole op list outside an empty cone, then one for
+    # 18 inputs and two for 19.
+    c = make()
+    fixed, outer, cone, chunk = simulate._plan(c)
+    assert [c.inputs[i] for i in fixed] == names
+    if not names:
+        assert cone == () and chunk(0) == ((), tuple(c.output_nets))
+        assert outer == simulate._compile(c.cells, set(c.output_nets))
+
+
+def test_chunks_in_any_order_share_their_prefix_folds(monkeypatch):
+    # kogge_stone(width=11) fixes 6 inputs, so its 64 chunks fold the cone
+    # once for each prefix of their fixed values: 2 + 4 + ... + 64 = 126
+    # folds in ascending or shuffled order, and the same lists either way.
+    adder = kogge_stone(width=11)
+    calls = []
+    fold = simulate._fold
+
+    def counting(*args):
+        calls.append(args)
+        return fold(*args)
+
+    monkeypatch.setattr(simulate, "_fold", counting)
+    order = list(range(64))
+    random.Random(29).shuffle(order)
+    _, _, _, shuffled = simulate._plan(adder)
+    lists = {c: shuffled(c) for c in order}
+    assert len(calls) == 126
+    calls.clear()
+    _, _, _, ascending = simulate._plan(adder)
+    assert [ascending(c) for c in range(64)] == [lists[c] for c in range(64)]
+    assert len(calls) == 126
+
+
+def test_a_dropped_circuit_frees_its_folds_by_reference_count():
+    # The memo of folded lists hangs off the plan alone, in no reference
+    # cycle, so the lists go with the circuit, before any cycle collection.
+    c = kogge_stone(width=9)
+    verify_exhaustive(c)
+    leaf = c._plan[3](1)[0]
+    gc.disable()
+    try:
+        del c
+        assert sys.getrefcount(leaf) == 2  # this name and the call's argument
+    finally:
+        gc.enable()
 
 
 def test_vector_at_is_a_row_of_the_enumeration():
