@@ -35,6 +35,9 @@ class GateKind(enum.Enum):
     NOR2 = "NOR2"
     INV = "INV"
 
+    # members are singletons: hash by identity, not by name as Enum does
+    __hash__ = object.__hash__
+
 
 ARITY = {
     GateKind.AND2: 2,
@@ -66,6 +69,8 @@ class Const(enum.Enum):
 
     ZERO = 0
     ONE = 1
+
+    __hash__ = object.__hash__  # as GateKind's
 
 
 ZERO = Const.ZERO

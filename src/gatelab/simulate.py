@@ -24,9 +24,10 @@ most 17 inputs fixes none: its one chunk is the enumeration, and every
 cell runs once, outside an empty cone.  Each chunk runs the cone folded
 with its fixed values, the Shannon cofactor of the cone: each gate that
 reads a constant reduces as the builder's folding does
-(:func:`~gatelab.core.fold`), to a constant, a copy of a net or an
-inverter.  The folded lists are made once a circuit, as its chunks
-first run.
+(:func:`~gatelab.core.fold`), to a constant, a net or an inverter, and
+a gate reduced to a constant or a net hands it to its readers, so no
+op copies a word.  The folded lists are made once a circuit, as its
+chunks first run.
 """
 
 from __future__ import annotations
@@ -81,19 +82,31 @@ def _stimulus(circuit: Circuit, columns: Mapping[str, object]) -> list[np.ndarra
 def _compile(cells: Sequence[Cell], keep: Collection[int]) -> tuple[tuple, ...]:
     """``cells``, in topological order, as a flat op list, each op (gate
     function from GATE_FN, input nets, output net, nets to free after
-    it).
+    it), by :func:`_live`."""
+    backward = ((GATE_FN[cell.kind], cell.ins, cell.out) for cell in reversed(cells))
+    return _live(backward, keep)
 
-    One backward pass leaves out the cells that no net of ``keep``
-    depends on, and has each op free the nets outside ``keep`` that it
-    reads for the last time, so only live nets hold values.
-    """
+
+def _live(backward: Iterable[tuple], keep: Collection[int]) -> tuple[tuple, ...]:
+    """The ops that ``backward`` yields last first, each (function, input
+    nets, output net, ...), in order and with their frees recomputed:
+    one backward pass leaves out the ops that no net of ``keep`` depends
+    on, and has each op free the nets outside ``keep`` that it reads for
+    the last time, so only live nets hold values.  An op whose frees come
+    out as they were is kept as the same tuple."""
     live = set(keep)
-    ops = []
-    for cell in reversed(cells):
-        if cell.out in live:
-            ops.append((GATE_FN[cell.kind], cell.ins, cell.out, tuple(set(cell.ins) - live)))
-            live.update(cell.ins)
-    return tuple(reversed(ops))
+    kept = []
+    for op in backward:
+        fn, ins, out = op[0], op[1], op[2]
+        if out in live:
+            free = ()
+            for net in ins:
+                if net not in live:
+                    free += (net,)
+                    live.add(net)
+            kept.append(op if len(op) > 3 and op[3] == free else (fn, ins, out, free))
+    kept.reverse()
+    return tuple(kept)
 
 
 def _exec(ops: tuple[tuple, ...], values: list, ones: int, nets: Iterable[int]) -> list:
@@ -118,6 +131,11 @@ def _cached(circuit: Circuit, name: str, make: Callable[[Circuit], tuple]) -> tu
     return value
 
 
+def _whole(circuit: Circuit) -> tuple[tuple, ...]:
+    """The circuit's whole op list, which keeps its output nets."""
+    return _compile(circuit.cells, set(circuit.output_nets))
+
+
 def _run(circuit: Circuit, inputs: list[int], ones: int) -> list[int]:
     """The output nets' words, in port order, from the input nets' words
     and the all-ones word of their length.
@@ -125,7 +143,7 @@ def _run(circuit: Circuit, inputs: list[int], ones: int) -> list[int]:
     This is the one engine: it runs the circuit's op list, compiled on
     first use and kept on the circuit.
     """
-    ops = _cached(circuit, "_ops", lambda c: _compile(c.cells, set(c.output_nets)))
+    ops = _cached(circuit, "_ops", _whole)
     values = inputs + [None] * (circuit.num_nets - len(inputs))
     return _exec(ops, values, ones, circuit.output_nets)
 
@@ -220,38 +238,37 @@ _CHUNK_LOG2 = 17
 _KIND = {fn: kind for kind, fn in GATE_FN.items()}
 
 
-def _copy(word: int, one: int) -> int:
-    """The op function of a gate folded to its other input: the word."""
-    return word
-
-
 def _fold(
     ops: Sequence[tuple], outs: Sequence[NetRef], net: int, value: int
 ) -> tuple[list[tuple], tuple[NetRef, ...]]:
     """The op list ``ops`` and the output refs ``outs`` with the input
-    ``net`` tied to ``value``.
+    ``net`` tied to ``value``, without frees.
 
     Each op that reads a constant reduces by :func:`~gatelab.core.fold`,
-    in order, to a constant, which drops it and makes its readers read a
-    constant, or to a copy or an inverter of its other input, on the op's
-    own net.  So no op reads a net it did not read before, and the frees
-    of the ops kept stay valid; a dropped op's frees are dropped with it,
-    and those nets live until the chunk ends.
+    in order, to a constant or a net, which drops it and makes its
+    readers and output refs read that instead, or to an inverter of its
+    other input, on the op's own net.  So no op copies a word, and a net
+    may be read past its old last reader: the frees of the ops kept mean
+    nothing, and a list that runs gets new ones from :func:`_live`.
     """
     subst: dict[int, NetRef] = {net: Const(value)}
     kept = []
     for op in ops:
-        fn, ins, out, free = op
+        fn, ins, out = op[0], op[1], op[2]
         a, b = ins[0], ins[-1]  # the same net for a 1-input op
         if a not in subst and b not in subst:
             kept.append(op)
             continue
         ins = (subst.get(a, a), subst.get(b, b))[: len(ins)]
-        ref, invert = (ins[0], False) if fn is _copy else fold(_KIND[fn], ins)
-        if isinstance(ref, Const):
-            subst[out] = ref
+        folded = fold(_KIND[fn], ins)
+        if folded is None:  # it reads a net that a dropped op copied
+            kept.append((fn, ins, out))
+            continue
+        ref, invert = folded
+        if invert:
+            kept.append((GATE_FN[GateKind.INV], (ref,), out))
         else:
-            kept.append((GATE_FN[GateKind.INV] if invert else _copy, (ref,), out, free))
+            subst[out] = ref
     return kept, tuple([subst.get(ref, ref) for ref in outs])
 
 
@@ -265,13 +282,19 @@ def _folded(
     cone with k inputs tied is that with the first k - 1 tied, folded
     with one more (the Shannon cofactor of a cofactor), and ``memo`` keeps
     each prefix's fold, so chunks in any order share the folds of their
-    leading fixed values.  ``memo`` is passed in, not closed over, so a
-    dropped circuit's folds are freed with it, with no cycle to collect.
+    leading fixed values.  Only a chunk's list, with every fixed input
+    tied, runs, so only it gets frees: one backward pass of :func:`_live`
+    as it is folded, which also drops the ops that no output needs.
+    ``memo`` is passed in, not closed over, so a dropped circuit's folds
+    are freed with it, with no cycle to collect.
     """
     folded = memo.get((k, prefix))
     if folded is None:
-        folded = _fold(*_folded(memo, fixed, k - 1, prefix >> 1), fixed[k - 1], prefix & 1)
-        memo[k, prefix] = folded
+        cofactor = _folded(memo, fixed, k - 1, prefix >> 1)
+        ops, refs = _fold(*cofactor, fixed[k - 1], prefix & 1)
+        if k == len(fixed):
+            ops = _live(reversed(ops), {ref for ref in refs if not isinstance(ref, Const)})
+        folded = memo[k, prefix] = ops, refs
     return folded
 
 
@@ -307,10 +330,13 @@ def _plan(
     outer = [cell for k, cell in enumerate(cells) if not mask >> k & 1]
     read = {net for cell in cone for net in cell.ins}
     keep = set(circuit.output_nets)
-    ops = _compile(cone, keep)
+    if fixed:
+        outer, ops = _compile(outer, keep | read), _compile(cone, keep)
+    else:  # the whole op list, the one _run keeps
+        outer, ops = _cached(circuit, "_ops", _whole), ()
     memo = {(0, 0): (ops, tuple(circuit.output_nets))}
     chunk = functools.partial(_folded, memo, fixed, h)
-    return fixed, _compile(outer, keep | read), ops, chunk
+    return fixed, outer, ops, chunk
 
 
 def _sweep(
@@ -335,8 +361,10 @@ def _sweep(
     pass reads its fixed inputs' words, 0 or all-ones, as the chunk's
     number c, and runs ``chunk(c)`` of :func:`_plan`: what is left of the
     cone once each gate that reads a constant is reduced to a constant, a
-    copy of a net or an inverter.  An output that folds to a constant
-    gets the word 0 or all-ones.  The moving ports are the fixed inputs
+    net or an inverter.  A fixed input, and an output that folds to a
+    constant, gets 0 or the chunk's all-ones word itself, the object
+    ``chunks`` yields, so a check can tell it from a word that only
+    equals it.  The moving ports are the fixed inputs
     and the outputs on a cone cell's net or a fixed input's; the others,
     the varying inputs and the shared outputs, keep one word a sweep, so
     in a one-chunk sweep no port moves.

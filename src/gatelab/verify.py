@@ -26,13 +26,18 @@ run chunks past its first failing one, though never more than a passing
 sweep.  The other inputs and the outputs outside those cones keep their
 words in every chunk, so a weighted oracle sums them once a sweep, and
 each chunk sums only the digits that the fixed inputs and their cones'
-outputs can move.  A sweep of at most 17 inputs is one chunk with no
-fixed input, so every port is steady and the oracle sums them all once.
-Random chunks hold no steady port, and each chunk sums all of its
-words.  A random chunk holds at
-most ``RANDOM_CHUNK_BITS`` stimulus bits (inputs x rows) and at most
-``RANDOM_CHUNK_ROWS`` rows, structured rows included, so a run's memory
-follows one chunk and its run time follows ``count``.  The structured
+outputs can move.  The check takes a chunk's words as lists in port
+order.  A fixed input's word, and that of an output that folds to a
+constant, is 0 or the chunk's all-ones word itself, so the check adds
+those ports' weights as one integer a side, which ripples into the
+steady digits, and sums only the other moving words.  A sweep of at
+most 17 inputs is one chunk with no fixed input, so every port is
+steady and the oracle sums them all once.  Random chunks hold no
+steady port and tie no word, and each chunk sums all of its words.  A
+random chunk holds at most ``RANDOM_CHUNK_BITS`` stimulus bits (inputs
+x rows) and at most ``RANDOM_CHUNK_ROWS`` rows, structured rows
+included, so a run's memory follows one chunk and its run time follows
+``count``.  The structured
 suite is one word per input, and each drawn input word is read straight
 from its raw words, so no byte per stimulus bit is held.
 
@@ -78,6 +83,9 @@ Words = Mapping[str, int]
 Values = Mapping[str, int]
 #: Port names -> the exponent e of each port's weight 2^e.
 Exponents = Callable[[Sequence[str]], dict[str, int]]
+#: A sweep's check of one chunk: (input words, output words, all-ones
+#: word), the words in port order, to the chunk's fail word.
+_Check = Callable[[Sequence[int], Sequence[int], int | None], int]
 
 
 @dataclass(frozen=True)
@@ -92,18 +100,20 @@ class Oracle:
 
     ``_sweep(ins, outs, moving_ins, moving_outs)`` takes the words of a
     sweep's first chunk and the names of the ports whose words change
-    from chunk to chunk, and returns the check of each chunk's words.
-    What the check needs of the other, steady ports it computes there,
-    once a sweep.  ``check`` is the sweep of one pass, in which every
-    port moves.
+    from chunk to chunk, and returns the :data:`_Check` of each chunk:
+    ``check(in_words, out_words, ones)``, on the chunk's word lists in
+    port order and its all-ones word.  What the check needs of the
+    other, steady ports it computes there, once a sweep, with the index
+    of each moving port in its list.  A moving word that is ``ones``
+    itself, not an equal int, is a tied constant that a weighted check
+    adds as an integer (see :func:`_weighted`).  ``check`` is the sweep
+    of one pass, in which every port moves and no word is tied.
     """
 
     name: str
     check: Callable[[Words, Words], int]
     explain: Callable[[Values, Values], tuple[dict, dict]]
-    _sweep: Callable[
-        [Words, Words, Collection[str], Collection[str]], Callable[[Words, Words], int]
-    ]
+    _sweep: Callable[[Words, Words, Collection[str], Collection[str]], _Check]
 
 
 # Port lists whose derived tables (exponent maps, rejected combinations)
@@ -142,17 +152,24 @@ def _per_quantity(name: str, quantities: Callable) -> Oracle:
             )
         )
 
-    def check(ins: Words, outs: Words) -> int:
-        # Each combination's minterm word, by splitting all vectors (-1:
-        # every bit set) on each port in turn; ~word sets the bits past
-        # the last vector too.
-        minterms = [-1]
-        for word in (*ins.values(), *outs.values()):
-            minterms = [m & half for m in minterms for half in (~word, word)]
+    def sweep(ins: Words, outs: Words, *moving: Collection[str]) -> _Check:
         rows = rejected(tuple(ins), tuple(outs))
-        return functools.reduce(operator.or_, (minterms[k] for k in rows), 0)
 
-    return Oracle(name, check, explain, lambda ins, outs, moving_ins, moving_outs: check)
+        def check(ins: Sequence[int], outs: Sequence[int], ones: int | None) -> int:
+            # Each combination's minterm word, by splitting all vectors (-1:
+            # every bit set) on each port in turn; ~word sets the bits past
+            # the last vector too.
+            minterms = [-1]
+            for word in (*ins, *outs):
+                minterms = [m & half for m in minterms for half in (~word, word)]
+            return functools.reduce(operator.or_, (minterms[k] for k in rows), 0)
+
+        return check
+
+    def check(ins: Words, outs: Words) -> int:
+        return sweep(ins, outs)(list(ins.values()), list(outs.values()), None)
+
+    return Oracle(name, check, explain, sweep)
 
 
 def _weighted(
@@ -169,41 +186,65 @@ def _weighted(
     whose words stay the same in all its chunks, are summed once: their
     digits below the cut, the lowest weight of any moving port, are the
     sums' digits in every chunk, so their differences make one fail word.
-    Each chunk sums the steady digits at or above the cut with the moving
-    ports' words, and ORs those digits' differences into that word.
+    Each chunk adds its moving ports to the steady digits at or above the
+    cut, and ORs those digits' differences into that word.  A moving
+    port whose word is 0 adds nothing, and one whose word is the chunk's
+    all-ones word, the very object, adds its weight to one integer K a
+    side; :func:`_ripple` adds K to the steady digits, and only the other
+    moving words go through the carry-save tree.  In an exhaustive sweep
+    those tied words are the fixed inputs and the outputs that fold to a
+    constant (see simulate), so a chunk whose moving ports are all tied
+    sums no word at all.
     """
     in_exponents = functools.lru_cache(maxsize=_RESOLVED)(in_exponents)
     out_exponents = functools.lru_cache(maxsize=_RESOLVED)(out_exponents)
 
     def sweep(
         ins: Words, outs: Words, moving_ins: Collection[str], moving_outs: Collection[str]
-    ) -> Callable[[Words, Words], int]:
+    ) -> _Check:
         sides = (
             (ins, in_exponents(tuple(ins)), moving_ins),
             (outs, out_exponents(tuple(outs)), moving_outs),
         )
+        # each side's moving ports as (index in port order, exponent)
         moves = [
-            {p: e for p, e in exps.items() if p in moving} for _, exps, moving in sides
+            [(k, e) for k, (p, e) in enumerate(exps.items()) if p in moving]
+            for _, exps, moving in sides
         ]
-        cut = min((e for side in moves for e in side.values()), default=float("inf"))
+        cut = min((e for side in moves for _, e in side), default=float("inf"))
         steady = [
-            _digits((words[p], e) for p, e in exps.items() if p not in side)
-            for (words, exps, _), side in zip(sides, moves)
+            _digits((words[p], e) for p, e in exps.items() if p not in moving)
+            for words, exps, moving in sides
         ]
         low = _differ(*({e: w for e, w in d.items() if e < cut} for d in steady))
-        high = [[(w, e) for e, w in d.items() if e >= cut] for d in steady]
+        high = [{e: w for e, w in d.items() if e >= cut} for d in steady]
 
-        def check(ins: Words, outs: Words) -> int:
-            lhs, rhs = (
-                _digits([*terms, *((words[p], e) for p, e in side.items())])
-                for terms, side, words in zip(high, moves, (ins, outs))
-            )
+        def total(
+            digits: dict[int, int], side: list, words: Sequence[int], ones: int | None
+        ) -> dict[int, int]:
+            # the side's digits: the steady ones, the tied constants and
+            # the other moving words
+            tied = 0
+            terms = []
+            for k, e in side:
+                word = words[k]
+                if word is ones:
+                    tied += 1 << e
+                elif word:
+                    terms.append((word, e))
+            digits = _ripple(digits, tied, ones)
+            if not terms:
+                return digits
+            return _digits([*((w, e) for e, w in digits.items()), *terms])
+
+        def check(ins: Sequence[int], outs: Sequence[int], ones: int | None) -> int:
+            lhs, rhs = map(total, high, moves, (ins, outs), (ones, ones))
             return low | _differ(lhs, rhs)
 
         return check
 
     def check(ins: Words, outs: Words) -> int:
-        return sweep(ins, outs, ins, outs)(ins, outs)
+        return sweep(ins, outs, ins, outs)(list(ins.values()), list(outs.values()), None)
 
     def explain(ins: Values, outs: Values) -> tuple[dict, dict]:
         expected = _total(ins, in_exponents)
@@ -238,12 +279,48 @@ def _digits(terms: Iterable[tuple[int, int]]) -> dict[int, int]:
     return digits
 
 
+def _ripple(digits: dict[int, int], k: int, ones: int) -> dict[int, int]:
+    """The digit words ``digits`` plus the integer ``k`` in every vector,
+    one word per binary digit as :func:`_digits` gives them: a ripple of
+    full adders in which each bit of k is a constant, 0 or ``ones``.
+
+    A digit costs at most two word ops, and none where neither k nor
+    the carry sets a bit; the one exception is a 1 bit of k that meets
+    both a set digit and a carried word, which costs three (XOR, XOR and
+    OR).  Digits within ``ones`` give digits within ``ones``, so none is
+    negative.
+    """
+    if not k:
+        return digits
+    digits = dict(digits)
+    e = (k & -k).bit_length() - 1
+    k >>= e
+    carry = 0
+    while k or carry:
+        d = digits.get(e, 0)
+        if k & 1:  # d + carry + 1
+            if not carry:
+                digits[e], carry = d ^ ones if d else ones, d
+            elif d:
+                digits[e], carry = d ^ carry ^ ones, d | carry
+            else:
+                digits[e] = carry ^ ones
+        elif carry:  # d + carry
+            digits[e], carry = (d ^ carry, d & carry) if d else (carry, 0)
+        k >>= 1
+        e += 1
+    return digits
+
+
 def _differ(lhs: dict[int, int], rhs: dict[int, int]) -> int:
     """The OR of the two digit maps' differences: bit v is set where
-    vector v's digits differ at some weight."""
+    vector v's digits differ at some weight.  Equal digits, compared
+    first, cost no word op."""
     fail = 0
     for e in lhs.keys() | rhs.keys():
-        fail |= lhs.get(e, 0) ^ rhs.get(e, 0)
+        a, b = lhs.get(e, 0), rhs.get(e, 0)
+        if a != b:
+            fail |= a ^ b
     return fail
 
 
@@ -422,25 +499,28 @@ def _first_failure(
 
     ``moving`` names the input and output ports whose words change from
     chunk to chunk.  The oracle's check is built once, on the first
-    chunk, from the words of the others (see ``Oracle``), and checks
-    every chunk.
+    chunk's port dicts, from the words of the others (see ``Oracle``),
+    and checks every chunk on its word lists, in port order, and its
+    all-ones word, so words that a sweep ties to ``ones`` count as
+    constants.  Port dicts are built again only for a counterexample.
     """
     best = None
     check = None
     for low, ones, words in chunks:
         if best is not None and low > best["index"]:
             break
-        ins = dict(zip(circuit.inputs, words))
-        outs = dict(zip(circuit.outputs, run(words, ones)))
+        outs = run(words, ones)
         if check is None:
-            check = oracle._sweep(ins, outs, *moving)
-        fail = check(ins, outs) & ones
+            check = oracle._sweep(
+                dict(zip(circuit.inputs, words)), dict(zip(circuit.outputs, outs)), *moving
+            )
+        fail = check(words, outs, ones) & ones
         if fail:
             local = (fail & -fail).bit_length() - 1
             index = low + spread(local)
             if best is None or index < best["index"]:
-                vec = {port: word >> local & 1 for port, word in ins.items()}
-                out = {port: word >> local & 1 for port, word in outs.items()}
+                vec = dict(zip(circuit.inputs, (word >> local & 1 for word in words)))
+                out = dict(zip(circuit.outputs, (word >> local & 1 for word in outs)))
                 best = _counterexample(oracle, index, vec, out)
     return best
 

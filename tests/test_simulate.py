@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from test_export import random_circuits
 
 from gatelab import simulate
-from gatelab.core import ARITY, ONE, ZERO, Cell, CircuitBuilder, Const, GateKind
+from gatelab.core import ARITY, GATE_FN, ONE, ZERO, Cell, CircuitBuilder, Const, GateKind
 from gatelab.export import to_json
 from gatelab.generators import (
     REGISTRY,
@@ -178,6 +178,14 @@ def test_op_list_is_compiled_once_per_circuit(monkeypatch):
     assert copy == c and repr(copy) == repr(c)
     assert all(np.array_equal(evaluate_batch(copy, cols)[p], first[p]) for p in c.outputs)
     assert len(compiled) == 2 and compiled[1] is copy.cells
+    # a sweep that fixes no input runs the whole op list as its outer
+    # list, the one evaluation runs too
+    compiled.clear()
+    compressor = compressor72_proposed()
+    assert verify_exhaustive(compressor).ok
+    evaluate(compressor, {p: 1 for p in compressor.inputs})
+    assert len(compiled) == 1 and compiled[0] is compressor.cells
+    assert compressor._plan[1] is compressor._ops
 
 
 def test_a_swept_circuit_pickles_without_its_op_lists():
@@ -403,6 +411,35 @@ def test_a_folded_sweep_runs_what_the_whole_op_list_runs(make, monkeypatch):
         (GateKind.NOR2, "constant"), (GateKind.NOR2, "inverse"),
         (GateKind.INV, "constant"), (GateKind.AND2, "net"), (GateKind.OR2, "net"),
     } <= outcomes
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        folding_block,
+        lambda: kogge_stone(width=9),
+        lambda: kogge_stone(width=11),
+        lambda: build_block(BlockSpec("pipeline", {"cols": 3})),
+    ],
+    ids=["folding_block", "kogge_stone_9", "kogge_stone_11", "pipeline_3"],
+)
+def test_a_folded_list_copies_no_word_and_reads_no_freed_net(make):
+    # A gate that folds to a net hands that net to its readers and output
+    # refs, so every op left evaluates a gate.  The frees, recomputed
+    # after, never free a net that a later op or an output ref reads, and
+    # every op's net is read later or is an output.
+    c = make()
+    fixed, _, _, chunk = simulate._plan(c)
+    for k in range(1 << len(fixed)):
+        ops, refs = chunk(k)
+        nets = {ref for ref in refs if not isinstance(ref, Const)}
+        freed = set()
+        for j, (fn, ins, out, free) in enumerate(ops):
+            assert fn in GATE_FN.values()
+            assert not freed & set(ins)
+            assert out in nets or any(out in op[1] for op in ops[j + 1 :])
+            freed |= set(free)
+        assert not freed & nets
 
 
 @pytest.mark.parametrize(

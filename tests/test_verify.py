@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_simulate import unpack
 
 from gatelab import simulate, verify
@@ -298,11 +300,6 @@ def recording_passes(monkeypatch):
     return passes
 
 
-def gate_ops(ops):
-    """The ops of a folded op list that evaluate a gate, not copy a word."""
-    return sum(op[0] is not simulate._copy for op in ops)
-
-
 def test_exhaustive_stops_at_its_first_failing_chunk(monkeypatch):
     # kogge_stone(width=9) has 19 inputs.  With s0 flipped where cin = 1,
     # the sweep fixes a8 and b8, whose cones are the smallest, in four
@@ -310,13 +307,13 @@ def test_exhaustive_stops_at_its_first_failing_chunk(monkeypatch):
     # on.  The first fails at index 1, below 2, so no other is simulated:
     # the cells outside the cone run once and the first chunk's folded
     # cone once.  Where a8 = b8, the top carry is killed or generated: the
-    # cone folds to cout = 0 or 1 and two copies that give s8 the word of
-    # c8.  Where they differ, 12 gates propagate c8.
+    # cone folds to cout = 0 or 1, s8's ref moves to the net of c8, and no
+    # op is left.  Where they differ, 12 gates propagate c8.
     broken = flipped_where(build_block(BlockSpec("kogge_stone", {"width": 9})), ("cin",))
     fixed, outer, cone, chunk = simulate._plan(broken)
     assert [broken.inputs[i] for i in fixed] == ["a8", "b8"]
-    assert [len(chunk(c)[0]) for c in range(4)] == [2, 17, 17, 2]
-    assert [gate_ops(chunk(c)[0]) for c in range(4)] == [0, 12, 12, 0]
+    assert [len(chunk(c)[0]) for c in range(4)] == [0, 12, 12, 0]
+    assert all(op[0] in simulate._KIND for c in range(4) for op in chunk(c)[0])
     assert (chunk(0)[1][-1], chunk(3)[1][-1]) == (ZERO, ONE)  # cout
     passes = recording_passes(monkeypatch)
     report = verify_exhaustive(broken)
@@ -342,7 +339,7 @@ def test_exhaustive_reports_a_lower_index_from_a_later_chunk(monkeypatch):
     broken = flipped_where(flipped_where(adder, ("a7",)), ("b8",))
     fixed, outer, cone, chunk = simulate._plan(broken)
     assert [broken.inputs[i] for i in fixed] == ["a8", "b8"]
-    assert gate_ops(chunk(0)[0]) == 0 < gate_ops(chunk(1)[0])
+    assert len(chunk(0)[0]) == 0 < len(chunk(1)[0])
     fail = single_shot(adder, broken)
     assert fail & -fail == 1 << 2
     assert min(v for v in bits(fail, 1 << 12) if not v & 2) == 1 << 11  # b8 = 0
@@ -361,14 +358,15 @@ def test_the_sweep_of_kogge_stone_11_fixes_its_top_bits():
     # 23 inputs, so 6 are fixed in each of 64 chunks: the ones whose cones
     # reach the fewest cells.  Folded with each chunk's fixed values, the
     # 69-cell cone leaves 600 gate ops over the 64 chunks, not 69 x 64 =
-    # 4,416, and 392 copies of a word.
+    # 4,416, and no copy of a word: a gate that folds to a net hands that
+    # net to its readers.
     adder = build_block(BlockSpec("kogge_stone", {"width": 11}))
     fixed, outer, cone, chunk = simulate._plan(adder)
     assert [adder.inputs[i] for i in fixed] == ["a8", "a9", "a10", "b8", "b9", "b10"]
     assert (len(outer), len(cone)) == (139, 69)
-    gates = [gate_ops(chunk(c)[0]) for c in range(64)]
+    gates = [len(chunk(c)[0]) for c in range(64)]
     assert (sum(gates), min(gates), max(gates)) == (600, 0, 30)
-    assert sum(len(chunk(c)[0]) for c in range(64)) == 600 + 392
+    assert all(op[0] in simulate._KIND for c in range(64) for op in chunk(c)[0])
 
 
 @pytest.mark.parametrize(
@@ -406,16 +404,18 @@ def test_every_mutant_sweep_reports_the_single_shot_vector(spec):
 def chunk_checks(circuit):
     """(per-sweep fail word, whole-word fail word) of each chunk of the
     exhaustive sweep of ``circuit``: the check the oracle builds on the
-    first chunk from the words of its steady ports, and its ``check`` on
-    the chunk's words, both masked to the chunk."""
+    first chunk from the words of its steady ports, on the chunk's word
+    lists and all-ones word, and its ``check`` on the chunk's words, both
+    masked to the chunk."""
     oracle = resolve_oracle(circuit)
     chunks, run, _, moving = simulate._sweep(circuit)
     check = None
     for _, ones, words in chunks:
+        out_words = run(words, ones)
         ins = dict(zip(circuit.inputs, words))
-        outs = dict(zip(circuit.outputs, run(words, ones)))
+        outs = dict(zip(circuit.outputs, out_words))
         check = check or oracle._sweep(ins, outs, *moving)
-        yield check(ins, outs) & ones, oracle.check(ins, outs) & ones
+        yield check(words, out_words, ones) & ones, oracle.check(ins, outs) & ones
 
 
 def adder_mutants(adder):
@@ -484,16 +484,20 @@ def recording_digits(monkeypatch):
 def test_the_varying_inputs_are_summed_once_a_sweep(monkeypatch):
     # kogge_stone(width=11) passes in 64 chunks.  The carry-save tree of
     # its 17 varying inputs runs once, and so does that of its 8 shared
-    # outputs s0..s7; each chunk then sums only the steady digits at or
-    # above the cut (8 on the input side, none on the output side) with
-    # the 6 fixed inputs and the 4 cone-driven outputs.
+    # outputs s0..s7.  In each chunk the 6 fixed inputs are 0 or the
+    # all-ones word, so their weights ripple into the steady digits at or
+    # above the cut as one integer and the input side sums no word; the
+    # output side sums its rippled constants with those of its 4
+    # cone-driven outputs that are words, 1 to 4 terms a chunk.
     adder = build_block(BlockSpec("kogge_stone", {"width": 11}))
     chunks, _, _, (fixed, _) = simulate._sweep(adder)
     _, _, words = next(chunks)
     varying = {w for p, w in zip(adder.inputs, words) if p not in fixed}
     calls = recording_digits(monkeypatch)
     assert verify_exhaustive(adder).ok
-    assert [len(terms) for terms, _ in calls] == [17, 8] + [1 + 6, 4] * 64
+    counts = [len(terms) for terms, _ in calls]
+    assert counts[:2] == [17, 8] and len(counts) == 2 + 64
+    assert (sum(counts[2:]), min(counts[2:]), max(counts[2:])) == (188, 1, 4)
     reading = [k for k, (terms, _) in enumerate(calls) if varying & {w for w, _ in terms}]
     assert reading == [0] and len(varying) == 17
 
@@ -517,6 +521,68 @@ def test_every_digit_word_is_non_negative(monkeypatch, spec):
     summed = [w for terms, _ in calls for w, _ in terms]
     built = [w for _, digits in calls for w in digits.values()]
     assert summed and built and min(summed + built) >= 0
+
+
+@st.composite
+def digit_sums(draw):
+    """(terms, k, ones): (word, e) terms of words within ``ones``, which
+    spans 1 to 200 bits, and an integer k."""
+    ones = (1 << draw(st.integers(1, 200))) - 1
+    word = st.one_of(st.just(0), st.just(ones), st.integers(0, ones))
+    terms = draw(st.lists(st.tuples(word, st.integers(0, 12)), max_size=10))
+    return terms, draw(st.integers(0, 1 << 16)), ones
+
+
+@given(digit_sums())
+@settings(max_examples=400, deadline=None)
+def test_the_ripple_adds_k_as_all_ones_words(case):
+    # Adding k to the digits of a sum by the ripple gives the digits that
+    # the carry-save tree gives with an all-ones word at each set bit of
+    # k, every one of them non-negative and within the all-ones word; the
+    # digits passed in are left as they were.
+    terms, k, ones = case
+    digits = verify._digits(terms)
+    before = dict(digits)
+    rippled = verify._ripple(digits, k, ones)
+    tied = [(ones, e) for e in range(k.bit_length()) if k >> e & 1]
+    expected = verify._digits([*terms, *tied])
+    got, want = ({e: w for e, w in d.items() if w} for d in (rippled, expected))
+    assert got == want
+    assert all(0 <= w <= ones for w in rippled.values())
+    assert digits == before
+
+
+@pytest.mark.parametrize(
+    "spec, make",
+    [
+        (BlockSpec("kogge_stone", {"width": 9}), adder_mutants),
+        (BlockSpec("pipeline", {"cols": 3}), lambda c: [top_flipped(c, "s5")]),
+    ],
+    ids=lambda v: v.label() if isinstance(v, BlockSpec) else "mutants",
+)
+def test_an_equal_all_ones_word_is_summed_as_a_word(spec, make):
+    # The check ties a moving word to a constant only when it is the
+    # chunk's all-ones word itself.  An equal int that is another object
+    # is summed as a word, and every chunk's fail word comes out the same,
+    # for the block and for mutants that fail.
+    circuit = build_block(spec)
+    for broken in [circuit, *make(circuit)]:
+        oracle = resolve_oracle(broken)
+        chunks, run, _, moving = simulate._sweep(broken)
+        check = None
+        tied = failed = 0
+        for _, ones, words in chunks:
+            outs = run(words, ones)
+            ports = dict(zip(broken.inputs, words)), dict(zip(broken.outputs, outs))
+            check = check or oracle._sweep(*ports, *moving)
+            equal = (ones << 1) >> 1
+            assert equal == ones and equal is not ones
+            copies = [[equal if w is ones else w for w in side] for side in (words, outs)]
+            tied += sum(w is ones for w in (*words, *outs))
+            fail = check(words, outs, ones) & ones
+            assert check(*copies, ones) & ones == fail
+            failed |= fail
+        assert tied and bool(failed) == (broken is not circuit)
 
 
 def flipped_where(adder, ports, flipped="s0"):
